@@ -67,6 +67,13 @@ func main() {
 		fail(fmt.Errorf("-store applies to local runs; a psspd daemon manages its own store (psspd -store)"))
 	}
 
+	// One scenario for both routes: a remote run ships these params, a local
+	// run normalizes and maps them exactly as the daemon does, on a machine
+	// built like the daemon's pooled one (seed and scheme only).
+	params := daemon.AttackParams{
+		Target: *target, Scheme: s.String(), Strategy: *strategy,
+		Budget: *budget, Repeats: *repeats, Workers: *workers, Seed: *seed,
+	}
 	var rep daemon.AttackReport
 	if *remote != "" {
 		c, err := client.Dial(*remote)
@@ -78,19 +85,12 @@ func main() {
 			fmt.Printf("attacking %s (scheme %s) with %s on %s: %d replication(s), budget %d trials each...\n",
 				*target, s, *strategy, *remote, *repeats, *budget)
 		}
-		err = c.Call(context.Background(), "attack", daemon.AttackParams{
-			Target: *target, Scheme: s.String(), Strategy: *strategy,
-			Budget: *budget, Repeats: *repeats, Workers: *workers, Seed: *seed,
-		}, &rep, client.WithTenant(*tenant))
-		if err != nil {
+		if err := c.Call(context.Background(), "attack", params, &rep, client.WithTenant(*tenant)); err != nil {
 			fail(err)
 		}
 	} else {
-		opts := []pssp.Option{
-			pssp.WithSeed(*seed),
-			pssp.WithScheme(s),
-			pssp.WithAttackBudget(*budget),
-		}
+		params = daemon.NormalizeAttackParams(params)
+		opts := []pssp.Option{pssp.WithSeed(params.Seed), pssp.WithScheme(s)}
 		if *storeDir != "" {
 			st, err := pssp.OpenStore(*storeDir)
 			if err != nil {
@@ -99,7 +99,6 @@ func main() {
 			opts = append(opts, pssp.WithStore(st))
 		}
 		m := pssp.NewMachine(opts...)
-		ctx := context.Background()
 		img, err := m.Pipeline().CompileApp(*target).Image()
 		if err != nil {
 			fail(err)
@@ -108,15 +107,11 @@ func main() {
 			fmt.Printf("attacking %s (scheme %s) with %s: %d replication(s), budget %d trials each...\n",
 				*target, s, *strategy, *repeats, *budget)
 		}
-		res, err := m.Campaign(ctx, img, pssp.CampaignConfig{
-			Strategy:     *strategy,
-			Replications: *repeats,
-			Workers:      *workers,
-		})
+		res, err := m.Campaign(context.Background(), img, daemon.CampaignConfig(params, params.Seed))
 		if err != nil {
 			fail(err)
 		}
-		rep = daemon.BuildAttackReport(*target, s, *seed, *budget, *repeats, *workers, res)
+		rep = daemon.BuildAttackReport(params.Target, s, params.Seed, params.Budget, params.Repeats, params.Workers, res)
 	}
 
 	if *jsonOut {

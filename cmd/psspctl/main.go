@@ -54,7 +54,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -140,20 +139,63 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
+	// params maps the flag surface onto the fabric's submit shape — the
+	// same daemon wire params the original CLIs send, so normalization (and
+	// therefore the resolved scenario) is shared with them. The one-shot and
+	// -submit paths both build from it, so the two emit byte-identical jobs.
+	params := func() (fabric.SubmitParams, error) {
+		p := fabric.SubmitParams{Kind: *job, CorpusDir: *corpus, UntilStall: *stall}
+		switch *job {
+		case "campaign":
+			p.Attack = &daemon.AttackParams{
+				Target: *target, Scheme: *scheme, Strategy: *strategy,
+				Budget: *budget, Repeats: *repeats, Workers: *jobWorkers, Seed: *seed,
+			}
+		case "loadtest":
+			mix, err := cliutil.ParseMix(*mixSpec)
+			if err != nil {
+				return p, err
+			}
+			classes := make([]daemon.LoadClass, len(mix))
+			for i, rc := range mix {
+				classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
+			}
+			multipliers, err := cliutil.ParseSweep(*sweep)
+			if err != nil {
+				return p, err
+			}
+			p.Load = &daemon.LoadParams{
+				App: *app, Scheme: *scheme, Mix: classes, Arrivals: *arrivals,
+				Rate: *rate, Clients: *clients, ThinkCycles: *think,
+				Requests: *requests, DurationCycles: *duration,
+				Shards: *shards, Workers: *jobWorkers, Budget: *probes,
+				Sweep: multipliers, Seed: *seed,
+			}
+		case "fuzz":
+			seeds, err := cliutil.ParseByteItems(*seedSpec)
+			if err != nil {
+				return p, fmt.Errorf("seeds %w", err)
+			}
+			tokens, err := cliutil.ParseByteItems(*dict)
+			if err != nil {
+				return p, fmt.Errorf("dict %w", err)
+			}
+			p.Fuzz = &daemon.FuzzParams{
+				App: *app, Scheme: *scheme, Seeds: seeds, Dict: tokens,
+				Execs: *execs, Shards: *shards, Workers: *jobWorkers,
+				MaxInput: *maxIn, Seed: *seed,
+			}
+		default:
+			return p, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", *job)
+		}
+		return p, nil
+	}
+
 	if *remote != "" {
 		if err := runRemote(ctx, *remote, remoteArgs{
 			submit: *submit, status: *status, cancel: *cancelJob,
 			aggregate: *aggregate, stats: *stats, watch: *watch, id: *id, jsonOut: *jsonOut,
-			params: func() (fabric.SubmitParams, error) {
-				return submitParams(*job, *corpus, *stall, jobFlags{
-					scheme: *scheme, seed: *seed, target: *target, strategy: *strategy,
-					budget: *budget, repeats: *repeats, jobWorkers: *jobWorkers,
-					app: *app, mixSpec: *mixSpec, arrivals: *arrivals, rate: *rate,
-					clients: *clients, think: *think, requests: *requests,
-					duration: *duration, shards: *shards, probes: *probes, sweep: *sweep,
-					seedSpec: *seedSpec, dict: *dict, execs: *execs, maxIn: *maxIn,
-				})
-			},
+			params: params,
 		}); err != nil {
 			fail(err)
 		}
@@ -239,14 +281,7 @@ func main() {
 		fail(err)
 	}
 
-	p, err := submitParams(*job, *corpus, *stall, jobFlags{
-		scheme: *scheme, seed: *seed, target: *target, strategy: *strategy,
-		budget: *budget, repeats: *repeats, jobWorkers: *jobWorkers,
-		app: *app, mixSpec: *mixSpec, arrivals: *arrivals, rate: *rate,
-		clients: *clients, think: *think, requests: *requests,
-		duration: *duration, shards: *shards, probes: *probes, sweep: *sweep,
-		seedSpec: *seedSpec, dict: *dict, execs: *execs, maxIn: *maxIn,
-	})
+	p, err := params()
 	if err != nil {
 		fail(err)
 	}
@@ -263,156 +298,42 @@ func main() {
 	}
 }
 
-// jobFlags carries the parsed per-job flag values into the params builder,
-// so the one-shot and -submit paths build byte-identical wire params.
-type jobFlags struct {
-	scheme     string
-	seed       uint64
-	target     string
-	strategy   string
-	budget     int
-	repeats    int
-	jobWorkers int
-	app        string
-	mixSpec    string
-	arrivals   string
-	rate       float64
-	clients    int
-	think      float64
-	requests   int
-	duration   uint64
-	shards     int
-	probes     int
-	sweep      string
-	seedSpec   string
-	dict       string
-	execs      int
-	maxIn      int
-}
-
-// submitParams maps the flag surface onto the fabric's submit shape — the
-// same daemon wire params the original CLIs send, so normalization (and
-// therefore the resolved scenario) is shared with them.
-func submitParams(job, corpus string, stall int, f jobFlags) (fabric.SubmitParams, error) {
-	p := fabric.SubmitParams{Kind: job, CorpusDir: corpus, UntilStall: stall}
-	switch job {
-	case "campaign":
-		p.Attack = &daemon.AttackParams{
-			Target: f.target, Scheme: f.scheme, Strategy: f.strategy,
-			Budget: f.budget, Repeats: f.repeats, Workers: f.jobWorkers, Seed: f.seed,
-		}
-	case "loadtest":
-		mix, err := cliutil.ParseMix(f.mixSpec)
-		if err != nil {
-			return p, err
-		}
-		classes := make([]daemon.LoadClass, len(mix))
-		for i, rc := range mix {
-			classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
-		}
-		multipliers, err := parseSweep(f.sweep)
-		if err != nil {
-			return p, err
-		}
-		p.Load = &daemon.LoadParams{
-			App: f.app, Scheme: f.scheme, Mix: classes, Arrivals: f.arrivals,
-			Rate: f.rate, Clients: f.clients, ThinkCycles: f.think,
-			Requests: f.requests, DurationCycles: f.duration,
-			Shards: f.shards, Workers: f.jobWorkers, Budget: f.probes,
-			Sweep: multipliers, Seed: f.seed,
-		}
-	case "fuzz":
-		seeds, err := cliutil.ParseByteItems(f.seedSpec)
-		if err != nil {
-			return p, fmt.Errorf("seeds %w", err)
-		}
-		tokens, err := cliutil.ParseByteItems(f.dict)
-		if err != nil {
-			return p, fmt.Errorf("dict %w", err)
-		}
-		p.Fuzz = &daemon.FuzzParams{
-			App: f.app, Scheme: f.scheme, Seeds: seeds, Dict: tokens,
-			Execs: f.execs, Shards: f.shards, Workers: f.jobWorkers,
-			MaxInput: f.maxIn, Seed: f.seed,
-		}
-	default:
-		return p, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", job)
-	}
-	return p, nil
-}
-
 // runOneShot executes one fabric job on coord and emits its report in the
 // exact shape the matching original CLI emits.
 func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitParams, jsonOut bool) error {
-	switch p.Kind {
-	case "campaign":
-		rep, err := coord.Campaign(ctx, *p.Attack)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return cliutil.EmitJSON(os.Stdout, rep)
-		}
+	run, err := coord.Job(p)
+	if err != nil {
+		return err
+	}
+	res, err := run(ctx)
+	if err != nil {
+		return err
+	}
+	if jsonOut {
+		return cliutil.EmitJSON(os.Stdout, res)
+	}
+	switch rep := res.(type) {
+	case *daemon.AttackReport:
 		fmt.Printf("campaign %s: %d/%d successes (rate %.2f), %d oracle calls, detection rate %.3f\n",
 			rep.Target, rep.Successes, rep.Completed, rep.SuccessRate, rep.OracleCalls, rep.DetectRate)
-		return nil
-	case "loadtest":
-		if len(p.Load.Sweep) > 0 {
-			sw, err := coord.LoadSweep(ctx, *p.Load)
-			if err != nil {
-				return err
-			}
-			if jsonOut {
-				return cliutil.EmitJSON(os.Stdout, sw)
-			}
-			for _, pt := range sw.Points {
-				fmt.Printf("sweep x%-5g offered %.3f achieved %.3f goodput %.3f/Mcycle\n",
-					pt.Multiplier, pt.Report.OfferedPerMcycle, pt.Report.AchievedPerMcycle, pt.Report.GoodputPerMcycle)
-			}
-			fmt.Printf("knee multiplier: x%g\n", sw.KneeMultiplier)
-			return nil
+	case *pssp.LoadSweepReport:
+		for _, pt := range rep.Points {
+			fmt.Printf("sweep x%-5g offered %.3f achieved %.3f goodput %.3f/Mcycle\n",
+				pt.Multiplier, pt.Report.OfferedPerMcycle, pt.Report.AchievedPerMcycle, pt.Report.GoodputPerMcycle)
 		}
-		rep, err := coord.LoadTest(ctx, *p.Load)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return cliutil.EmitJSON(os.Stdout, rep)
-		}
+		fmt.Printf("knee multiplier: x%g\n", rep.KneeMultiplier)
+	case *pssp.LoadReport:
 		fmt.Printf("loadtest %s: %d ok / %d requests, achieved %.3f/Mcycle, goodput %.3f/Mcycle\n",
 			rep.Label, rep.OK, rep.Requests, rep.AchievedPerMcycle, rep.GoodputPerMcycle)
-		return nil
-	case "fuzz":
-		var rep *pssp.FuzzReport
-		var sum *pssp.FuzzStallSummary
-		var err error
-		if p.UntilStall > 0 {
-			rep, sum, err = coord.FuzzUntilStall(ctx, *p.Fuzz, p.CorpusDir, p.UntilStall)
-		} else {
-			rep, err = coord.Fuzz(ctx, *p.Fuzz, p.CorpusDir)
-		}
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			// psspfuzz's exact shape: timed_out never set (fabric rounds are
-			// exec-bounded), until_stall only in continuous mode.
-			out := struct {
-				*pssp.FuzzReport
-				TimedOut   bool                   `json:"timed_out,omitempty"`
-				UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
-			}{rep, false, sum}
-			return cliutil.EmitJSON(os.Stdout, out)
-		}
+	case daemon.FuzzResult:
 		fmt.Printf("fuzz %s: %d execs, %d edges (frontier %016x), corpus %d, %d finding(s)\n",
 			rep.Label, rep.Execs, rep.Edges, rep.CoverageHash, rep.CorpusSize, len(rep.Findings))
-		if sum != nil {
+		if sum := rep.UntilStall; sum != nil {
 			fmt.Printf("  continuous: frontier stalled after %d round(s), %d total execs\n",
 				sum.Rounds, sum.TotalExecs)
 		}
-		return nil
 	}
-	return fmt.Errorf("unknown job kind %q", p.Kind)
+	return nil
 }
 
 // remoteArgs bundles the remote-mode verbs.
@@ -534,20 +455,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseSweep parses the -sweep multiplier list (psspload's grammar).
-func parseSweep(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, s := range strings.Split(spec, ",") {
-		m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || !(m > 0) {
-			return nil, fmt.Errorf("sweep multiplier %q: want a positive number", s)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

@@ -43,7 +43,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
-	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/pssp"
 )
@@ -116,6 +115,13 @@ func main() {
 		}
 	}
 
+	// One scenario for every route: a remote run ships these params, a
+	// local one maps them with the daemon's own params→config mapping.
+	params := daemon.FuzzParams{
+		App: *app, Scheme: s.String(), Seeds: seeds, Dict: tokens,
+		Execs: *execs, Shards: *shards, Workers: *workers,
+		MaxInput: *maxIn, Seed: *seed,
+	}
 	var rep *pssp.FuzzReport
 	var stallSum *pssp.FuzzStallSummary
 	timedOut := false
@@ -134,12 +140,7 @@ func main() {
 			}))
 		}
 		var fr daemon.FuzzResult
-		err = c.Call(ctx, "fuzz", daemon.FuzzParams{
-			App: *app, Scheme: s.String(), Seeds: seeds, Dict: tokens,
-			Execs: *execs, Shards: *shards, Workers: *workers,
-			MaxInput: *maxIn, Seed: *seed,
-		}, &fr, opts...)
-		if err != nil {
+		if err := c.Call(ctx, "fuzz", params, &fr, opts...); err != nil {
 			fail(err)
 		}
 		rep = fr.FuzzReport
@@ -154,7 +155,6 @@ func main() {
 			}
 			machineOpts = append(machineOpts, pssp.WithStore(st))
 		}
-		baseSeeds := seeds
 		var corp *store.Corpus
 		var baseVirgin []byte
 		if *corpus != "" {
@@ -184,13 +184,25 @@ func main() {
 		}
 		if *stall > 0 {
 			// Continuous mode reseeds itself each round, so the base seed
-			// corpus (pre-corpus-append) and the corpus handle go in raw; the
-			// loop folds and reloads the corpus between rounds itself.
-			cfg := pssp.FuzzConfig{
-				Seeds: baseSeeds, Dict: tokens, Execs: *execs, Shards: *shards,
-				Workers: *workers, Seed: *seed, MaxInput: *maxIn,
+			// corpus (pre-corpus-append) goes in raw; the loop reloads the
+			// corpus between rounds and each round folds its discoveries in.
+			var load func() ([][]byte, []byte, error)
+			if corp != nil {
+				load = corp.Load
 			}
-			rep, stallSum, err = fuzzUntilStall(ctx, m, img, cfg, corp, *stall)
+			round := func(ctx context.Context, seed uint64, seeds [][]byte, baseVirgin []byte) (*pssp.FuzzReport, error) {
+				rp := params
+				rp.Seeds = seeds
+				r, err := m.Fuzz(ctx, img, daemon.FuzzConfig(rp, seed, baseVirgin))
+				if err == nil && corp != nil {
+					if _, err = corp.Add(r.CorpusInputs()); err == nil {
+						err = corp.SaveFrontier(r.Frontier())
+					}
+				}
+				return r, err
+			}
+			rep, stallSum, err = pssp.FuzzUntilStall(ctx, *seed, params.Seeds, *stall, load, round,
+				func(format string, args ...any) { fmt.Fprintf(os.Stderr, "psspfuzz: "+format+"\n", args...) })
 			if err != nil {
 				fail(err)
 			}
@@ -201,17 +213,10 @@ func main() {
 			emit(*jsonOut, rep, s, 0, false, stallSum, fail)
 			return
 		}
-		rep, err = m.Fuzz(ctx, img, pssp.FuzzConfig{
-			Seeds:      seeds,
-			Dict:       tokens,
-			Execs:      *execs,
-			Shards:     *shards,
-			Workers:    *workers,
-			Seed:       *seed,
-			MaxInput:   *maxIn,
-			Progress:   progress,
-			BaseVirgin: baseVirgin,
-		})
+		params.Seeds = seeds
+		cfg := daemon.FuzzConfig(params, *seed, baseVirgin)
+		cfg.Progress = progress
+		rep, err = m.Fuzz(ctx, img, cfg)
 		if rep != nil && corp != nil {
 			// Persist even a partial run's discoveries: content-hash dedup
 			// makes re-adding idempotent and the frontier only accumulates.
@@ -252,11 +257,7 @@ func emit(jsonOut bool, rep *pssp.FuzzReport, s pssp.Scheme, duration time.Durat
 		// partial adds "timed_out": true so scripts cannot mistake a
 		// truncated frontier for a full one, and a continuous run adds its
 		// "until_stall" convergence summary.
-		out := struct {
-			*pssp.FuzzReport
-			TimedOut   bool                   `json:"timed_out,omitempty"`
-			UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
-		}{rep, timedOut, stallSum}
+		out := daemon.FuzzResult{FuzzReport: rep, TimedOut: timedOut, UntilStall: stallSum}
 		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
 			fail(err)
 		}
@@ -286,70 +287,5 @@ func emit(jsonOut bool, rep *pssp.FuzzReport, s pssp.Scheme, duration time.Durat
 		fmt.Printf("  finding %d: rip=0x%x %s\n", i, f.CrashPC, kind)
 		fmt.Printf("    shard %d exec %d, input %d bytes, minimized %d bytes -> overflow after %d bytes\n",
 			f.Shard, f.Exec, len(f.Input), len(f.Minimized), f.OverflowLen())
-	}
-}
-
-// fuzzUntilStall is -until-stall's round loop — the local twin of the
-// fabric coordinator's continuous mode, with identical round semantics so
-// the two stay byte-comparable: round r>0 re-derives its mutation seed as
-// rng.Mix(seed, r) and seeds itself with every input discovered so far
-// (reloaded through the persistent corpus when -corpus is set, in memory
-// otherwise), with the accumulated frontier as the round's base virgin map.
-// The frontier is monotone and bounded, so the loop terminates.
-func fuzzUntilStall(ctx context.Context, m *pssp.Machine, img *pssp.Image, cfg pssp.FuzzConfig, corp *store.Corpus, stall int) (*pssp.FuzzReport, *pssp.FuzzStallSummary, error) {
-	baseSeeds := cfg.Seeds
-	seeds := baseSeeds
-	var baseVirgin []byte
-	sum := &pssp.FuzzStallSummary{StallRounds: stall}
-	var rep *pssp.FuzzReport
-	var lastHash uint64
-	same, started := 0, false
-	for {
-		rc := cfg
-		if sum.Rounds > 0 {
-			rc.Seed = rng.Mix(cfg.Seed, uint64(sum.Rounds))
-		}
-		if corp != nil {
-			// Reload between rounds: concurrent runs sharing the corpus
-			// contribute seeds and frontier too.
-			saved, frontier, err := corp.Load()
-			if err != nil {
-				return rep, sum, err
-			}
-			seeds = append(append([][]byte{}, baseSeeds...), saved...)
-			baseVirgin = frontier
-		}
-		rc.Seeds = seeds
-		rc.BaseVirgin = baseVirgin
-		r, err := m.Fuzz(ctx, img, rc)
-		if err != nil {
-			return rep, sum, err
-		}
-		rep = r
-		sum.Rounds++
-		sum.TotalExecs += r.Execs
-		if corp != nil {
-			if _, err := corp.Add(r.CorpusInputs()); err != nil {
-				return rep, sum, err
-			}
-			if err := corp.SaveFrontier(r.Frontier()); err != nil {
-				return rep, sum, err
-			}
-		} else {
-			seeds = append(append([][]byte{}, baseSeeds...), r.CorpusInputs()...)
-			baseVirgin = r.Frontier()
-		}
-		if started && r.CoverageHash == lastHash {
-			same++
-		} else {
-			same = 0
-		}
-		started = true
-		lastHash = r.CoverageHash
-		fmt.Fprintf(os.Stderr, "psspfuzz: round %d: %d edges, frontier %016x (%d/%d stalled)\n",
-			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
-		if same >= stall {
-			return rep, sum, nil
-		}
 	}
 }

@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,22 +45,6 @@ import (
 	"repro/internal/daemon/client"
 	"repro/pssp"
 )
-
-// parseSweep parses the -sweep multiplier list.
-func parseSweep(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, s := range strings.Split(spec, ",") {
-		m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || !(m > 0) {
-			return nil, fmt.Errorf("sweep multiplier %q: want a positive number", s)
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
 
 func us(cycles uint64) string {
 	return fmt.Sprintf("%.3f", float64(cycles)/pssp.CyclesPerMicrosecond)
@@ -250,18 +232,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var kind pssp.ArrivalKind
-	switch *arrivals {
-	case "poisson":
-		kind = pssp.ArrivalsOpenPoisson
-	case "uniform":
-		kind = pssp.ArrivalsOpenUniform
-	case "closed":
-		kind = pssp.ArrivalsClosedLoop
-	default:
-		fail(fmt.Errorf("unknown arrival model %q (want poisson, uniform or closed)", *arrivals))
+	if _, err := daemon.ParseArrivals(*arrivals); err != nil {
+		fail(err)
 	}
-	multipliers, err := parseSweep(*sweep)
+	multipliers, err := cliutil.ParseSweep(*sweep)
 	if err != nil {
 		fail(err)
 	}
@@ -279,108 +253,80 @@ func main() {
 		return
 	}
 
+	// One scenario for both routes: a remote run ships these params, a local
+	// run maps them with the daemon's own params→config mapping.
+	classes := make([]daemon.LoadClass, len(mix))
+	for i, rc := range mix {
+		classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
+	}
+	params := daemon.LoadParams{
+		App: *app, Scheme: s.String(), Mix: classes, Arrivals: *arrivals,
+		Rate: *rate, Clients: *clients, ThinkCycles: *think,
+		Requests: *requests, DurationCycles: *duration,
+		Shards: *shards, Workers: *workers, Budget: *budget,
+		Sweep: multipliers, Seed: *seed,
+	}
+	var res daemon.LoadResult
 	if *remote != "" {
 		c, err := client.Dial(*remote)
 		if err != nil {
 			fail(err)
 		}
 		defer c.Close()
-		classes := make([]daemon.LoadClass, len(mix))
-		for i, rc := range mix {
-			classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
-		}
-		var res daemon.LoadResult
-		err = c.Call(context.Background(), "loadtest", daemon.LoadParams{
-			App: *app, Scheme: s.String(), Mix: classes, Arrivals: *arrivals,
-			Rate: *rate, Clients: *clients, ThinkCycles: *think,
-			Requests: *requests, DurationCycles: *duration,
-			Shards: *shards, Workers: *workers, Budget: *budget,
-			Sweep: multipliers, Seed: *seed,
-		}, &res, client.WithTenant(*tenant))
-		if err != nil {
+		if err := c.Call(context.Background(), "loadtest", params, &res, client.WithTenant(*tenant)); err != nil {
 			fail(err)
 		}
 		if res.Canceled {
 			fmt.Fprintln(os.Stderr, "psspload: job canceled; partial report follows")
 		}
-		// The inner report is emitted bare, so remote -json output matches
-		// the local run byte for byte at a fixed seed.
-		if res.Sweep != nil {
-			if *jsonOut {
-				if err := cliutil.EmitJSON(os.Stdout, res.Sweep); err != nil {
-					fail(err)
-				}
-				return
-			}
-			printSweep(res.Sweep, *app, *arrivals, s)
-			return
+	} else {
+		opts := []pssp.Option{
+			pssp.WithSeed(*seed),
+			pssp.WithScheme(s),
+			pssp.WithAttackBudget(*budget),
 		}
-		if *jsonOut {
-			if err := cliutil.EmitJSON(os.Stdout, res.Report); err != nil {
+		if *storeDir != "" {
+			st, err := pssp.OpenStore(*storeDir)
+			if err != nil {
 				fail(err)
 			}
-			return
+			opts = append(opts, pssp.WithStore(st))
 		}
-		printReport(res.Report)
-		return
-	}
-
-	opts := []pssp.Option{
-		pssp.WithSeed(*seed),
-		pssp.WithScheme(s),
-		pssp.WithAttackBudget(*budget),
-	}
-	if *storeDir != "" {
-		st, err := pssp.OpenStore(*storeDir)
+		m := pssp.NewMachine(opts...)
+		ctx := context.Background()
+		img, err := m.Pipeline().CompileApp(*app).Image()
 		if err != nil {
 			fail(err)
 		}
-		opts = append(opts, pssp.WithStore(st))
-	}
-	m := pssp.NewMachine(opts...)
-	ctx := context.Background()
-	img, err := m.Pipeline().CompileApp(*app).Image()
-	if err != nil {
-		fail(err)
-	}
-	cfg := pssp.WorkloadConfig{
-		Label:          *app,
-		Mix:            mix,
-		Arrivals:       kind,
-		RatePerMcycle:  *rate,
-		Clients:        *clients,
-		ThinkCycles:    *think,
-		Requests:       *requests,
-		DurationCycles: *duration,
-		Shards:         *shards,
-		Workers:        *workers,
-		Seed:           *seed,
-	}
-
-	if len(multipliers) > 0 {
-		sw, err := m.LoadSweep(ctx, img, cfg, multipliers)
+		cfg, err := daemon.LoadWorkload(params, *app, *seed)
 		if err != nil {
 			fail(err)
 		}
-		if *jsonOut {
-			if err := cliutil.EmitJSON(os.Stdout, sw); err != nil {
-				fail(err)
-			}
-			return
+		if len(multipliers) > 0 {
+			res.Sweep, err = m.LoadSweep(ctx, img, cfg, multipliers)
+		} else {
+			res.Report, err = m.LoadTest(ctx, img, cfg)
 		}
-		printSweep(sw, *app, *arrivals, s)
-		return
+		if err != nil {
+			fail(err)
+		}
 	}
 
-	rep, err := m.LoadTest(ctx, img, cfg)
-	if err != nil {
-		fail(err)
+	// The inner report is emitted bare, so remote -json output matches the
+	// local run byte for byte at a fixed seed.
+	var out any = res.Report
+	if res.Sweep != nil {
+		out = res.Sweep
 	}
 	if *jsonOut {
-		if err := cliutil.EmitJSON(os.Stdout, rep); err != nil {
+		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
 			fail(err)
 		}
 		return
 	}
-	printReport(rep)
+	if res.Sweep != nil {
+		printSweep(res.Sweep, *app, *arrivals, s)
+		return
+	}
+	printReport(res.Report)
 }

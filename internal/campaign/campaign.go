@@ -202,8 +202,10 @@ func (a *Aggregate) AvgCycles() float64 {
 }
 
 // Run executes the campaign: cfg.Replications runs of run sharded over
-// cfg.Workers goroutines. The returned aggregate is bit-identical for a
-// fixed seed at any worker count.
+// cfg.Workers goroutines. It is RunShards over the whole range followed by
+// MergePartials — the one path every campaign takes, locally, in the
+// daemon and across the fabric — so the returned aggregate is bit-identical
+// for a fixed seed at any worker count and any lease split.
 //
 // On cancellation Run returns the partial aggregate of the completed
 // replications together with ctx.Err(). A runner error that is neither a
@@ -211,68 +213,23 @@ func (a *Aggregate) AvgCycles() float64 {
 // and is returned with the partial aggregate.
 func Run(ctx context.Context, cfg Config, run Runner) (*Aggregate, error) {
 	cfg = cfg.withDefaults()
-	outcomes := make([]*Outcome, cfg.Replications)
-	infra := make([]error, cfg.Replications)
-	poolErr := runRange(ctx, cfg, 0, cfg.Replications, cfg.Workers, run, outcomes, infra)
-	return fold(cfg, outcomes, infra), poolErr
+	part, err := RunShards(ctx, cfg, 0, cfg.Replications, run)
+	return MergePartials(cfg, []*Partial{part}), err
 }
 
-// runRange executes replications [lo, hi) into the outcome/infra slot
-// arrays (indexed by global replication number) — the shared core of Run
-// and RunShards.
-func runRange(ctx context.Context, cfg Config, lo, hi, workers int, run Runner, outcomes []*Outcome, infra []error) error {
-	// The running tally behind Config.Progress. Snapshots accumulate in
-	// wall-clock completion order under their own lock; the deterministic
-	// aggregate folded afterwards never reads from it.
-	var (
-		progMu sync.Mutex
-		prog   Progress
-	)
-	tick := func(out *Outcome) {
-		if cfg.Progress == nil {
-			return
-		}
-		progMu.Lock()
-		prog.Requested = hi - lo
-		prog.Completed++
-		if out != nil {
-			if out.Success {
-				prog.Successes++
-			}
-			prog.Trials += out.Trials
-			prog.Detections += out.Detections
-			prog.OracleCalls += out.OracleCalls
-			prog.Cycles += out.Cycles
-		}
-		cfg.Progress(prog)
-		progMu.Unlock()
+// Failed is the error of a campaign that completed no replication because
+// of oracle infrastructure failures (nil otherwise): such a campaign has
+// no statistics to report, only its first infrastructure error.
+func (a *Aggregate) Failed() error {
+	if a.Completed == 0 && a.OracleErr != nil {
+		return a.OracleErr
 	}
-
-	// The pool handles cancellation and fatal-error semantics (see
-	// workpool.Run); this runner only classifies: an oracle infrastructure
-	// failure is accounted in its replication's infra slot — a completed
-	// unit from the pool's point of view — never a fatal error.
-	return workpool.RunRange(ctx, lo, hi, workers, func(ctx context.Context, rep int) error {
-		out, err := run(ctx, rep, rng.NewStream(cfg.Seed, uint64(rep)))
-		switch {
-		case err == nil:
-			out.Rep = rep
-			outcomes[rep] = &out
-			tick(&out)
-		case attack.IsOracleErr(err):
-			infra[rep] = err
-			tick(nil)
-		default:
-			return err
-		}
-		return nil
-	})
+	return nil
 }
 
-// fold collapses outcome/infra slots into the aggregate, in replication
-// order. It is the single merge path: Run folds its own slots, and
-// MergePartials folds slots reassembled from wire partials, so the two are
-// bit-identical by construction.
+// fold collapses outcome/infra slots (indexed by replication) into the
+// aggregate, in replication order, after the workers drain — so
+// scheduling cannot leak in.
 func fold(cfg Config, outcomes []*Outcome, infra []error) *Aggregate {
 	agg := &Aggregate{Label: cfg.Label, Requested: cfg.Replications}
 	var toSuccess []float64
@@ -312,17 +269,19 @@ func fold(cfg Config, outcomes []*Outcome, infra []error) *Aggregate {
 
 // InfraError is the wire form of an oracle infrastructure failure: the
 // replication it cost and the error text. Reconstructed errors compare
-// equal by message, which is all report rendering uses.
+// equal by message, which is all report rendering uses; a partial merged in
+// the process that ran it keeps the original error value.
 type InfraError struct {
 	Rep int    `json:"rep"`
 	Err string `json:"err"`
+	err error
 }
 
 // Partial carries the raw results of a replication range [Lo, Hi) — the
 // per-shard aggregate a fabric worker ships back to its coordinator. It is
 // deliberately unfolded: outcomes and infra errors keep their replication
-// tags so MergePartials can reassemble the exact slot array Run would have
-// filled, making the distributed merge bit-identical to the local one.
+// tags so MergePartials reassembles the exact slot array a whole run
+// fills, making the distributed merge bit-identical to the local one.
 type Partial struct {
 	Lo       int          `json:"lo"`
 	Hi       int          `json:"hi"`
@@ -330,11 +289,33 @@ type Partial struct {
 	Infra    []InfraError `json:"infra,omitempty"`
 }
 
-// RunShards executes only replications [lo, hi) of the campaign and
-// returns their partial. cfg must be the full campaign configuration —
-// replication indices keep their global meaning, so rng streams are
-// identical to the single-process run. On error the partial holds
-// whatever completed.
+// Fits reports whether p can answer lease [lo, hi) of a campaign: every
+// replication it carries lies in the lease. A coordinator applies it
+// before merging a worker's partial, since MergePartials accepts any
+// replication of the campaign. A nil partial fits no lease. The plan is
+// unused (outcomes have no plan-sized shape); it keeps the check's shape
+// uniform across the engines.
+func (p *Partial) Fits(_ Config, lo, hi int) bool {
+	if p == nil {
+		return false
+	}
+	for _, out := range p.Outcomes {
+		if out.Rep < lo || out.Rep >= hi {
+			return false
+		}
+	}
+	for _, ie := range p.Infra {
+		if ie.Rep < lo || ie.Rep >= hi {
+			return false
+		}
+	}
+	return true
+}
+
+// RunShards executes replications [lo, hi) of the campaign and returns
+// their partial. cfg must be the full campaign configuration — replication
+// indices keep their global meaning, so rng streams are identical at any
+// split. On error the partial holds whatever completed.
 func RunShards(ctx context.Context, cfg Config, lo, hi int, run Runner) (*Partial, error) {
 	cfg = cfg.withDefaults()
 	if lo < 0 || hi > cfg.Replications || lo >= hi {
@@ -344,29 +325,74 @@ func RunShards(ctx context.Context, cfg Config, lo, hi int, run Runner) (*Partia
 	if workers > hi-lo {
 		workers = hi - lo
 	}
-	outcomes := make([]*Outcome, cfg.Replications)
-	infra := make([]error, cfg.Replications)
-	poolErr := runRange(ctx, cfg, lo, hi, workers, run, outcomes, infra)
+	// Slots are indexed by rep-lo; each is written by exactly one unit.
+	outcomes := make([]*Outcome, hi-lo)
+	infra := make([]error, hi-lo)
+
+	// The running tally behind Config.Progress. Snapshots accumulate in
+	// wall-clock completion order under their own lock; the deterministic
+	// aggregate folded afterwards never reads from it.
+	var (
+		progMu sync.Mutex
+		prog   = Progress{Requested: hi - lo}
+	)
+	tick := func(out *Outcome) {
+		if cfg.Progress == nil {
+			return
+		}
+		progMu.Lock()
+		prog.Completed++
+		if out != nil {
+			if out.Success {
+				prog.Successes++
+			}
+			prog.Trials += out.Trials
+			prog.Detections += out.Detections
+			prog.OracleCalls += out.OracleCalls
+			prog.Cycles += out.Cycles
+		}
+		cfg.Progress(prog)
+		progMu.Unlock()
+	}
+
+	// The pool handles cancellation and fatal-error semantics (see
+	// workpool.Run); this runner only classifies: an oracle infrastructure
+	// failure is accounted in its replication's infra slot — a completed
+	// unit from the pool's point of view — never a fatal error.
+	poolErr := workpool.RunRange(ctx, lo, hi, workers, func(ctx context.Context, rep int) error {
+		out, err := run(ctx, rep, rng.NewStream(cfg.Seed, uint64(rep)))
+		switch {
+		case err == nil:
+			out.Rep = rep
+			outcomes[rep-lo] = &out
+			tick(&out)
+		case attack.IsOracleErr(err):
+			infra[rep-lo] = err
+			tick(nil)
+		default:
+			return err
+		}
+		return nil
+	})
 
 	p := &Partial{Lo: lo, Hi: hi}
-	for rep := lo; rep < hi; rep++ {
-		if out := outcomes[rep]; out != nil {
+	for i := range outcomes {
+		if out := outcomes[i]; out != nil {
 			p.Outcomes = append(p.Outcomes, *out)
 		}
-		if err := infra[rep]; err != nil {
-			p.Infra = append(p.Infra, InfraError{Rep: rep, Err: err.Error()})
+		if err := infra[i]; err != nil {
+			p.Infra = append(p.Infra, InfraError{Rep: lo + i, Err: err.Error(), err: err})
 		}
 	}
 	return p, poolErr
 }
 
-// MergePartials reassembles partials into the aggregate Run would have
-// produced for the same cfg. Partials may arrive in any order and may
-// overlap (a lease that was reassigned after a worker loss delivers the
-// same replications twice) — slots are keyed by replication index, so a
-// duplicate overwrites with identical data and the merge stays
-// bit-identical. Missing replications are simply absent from the
-// aggregate, mirroring Run under cancellation.
+// MergePartials folds partials into the campaign's aggregate. Partials may
+// arrive in any order and may overlap (a lease that was reassigned after a
+// worker loss delivers the same replications twice) — slots are keyed by
+// replication index, so a duplicate overwrites with identical data and the
+// merge stays bit-identical. Missing replications are simply absent from
+// the aggregate, as under cancellation.
 func MergePartials(cfg Config, parts []*Partial) *Aggregate {
 	cfg = cfg.withDefaults()
 	outcomes := make([]*Outcome, cfg.Replications)
@@ -376,14 +402,15 @@ func MergePartials(cfg Config, parts []*Partial) *Aggregate {
 			continue
 		}
 		for i := range p.Outcomes {
-			out := p.Outcomes[i]
-			if out.Rep >= 0 && out.Rep < cfg.Replications {
-				outcomes[out.Rep] = &out
+			if out := &p.Outcomes[i]; out.Rep >= 0 && out.Rep < cfg.Replications {
+				outcomes[out.Rep] = out
 			}
 		}
 		for _, ie := range p.Infra {
 			if ie.Rep >= 0 && ie.Rep < cfg.Replications {
-				infra[ie.Rep] = errors.New(ie.Err)
+				if infra[ie.Rep] = ie.err; ie.err == nil {
+					infra[ie.Rep] = errors.New(ie.Err)
+				}
 			}
 		}
 	}

@@ -140,3 +140,21 @@ func ParseByteItems(spec string) ([][]byte, error) {
 	}
 	return out, nil
 }
+
+// ParseSweep parses an offered-load sweep spec — comma-separated positive
+// multipliers such as "0.5,1,2,4" — as psspload and psspctl take it. An
+// empty spec is no sweep.
+func ParseSweep(spec string) ([]float64, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var out []float64
+	for _, s := range strings.Split(spec, ",") {
+		m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || !(m > 0) {
+			return nil, fmt.Errorf("sweep multiplier %q: want a positive number", s)
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/obs"
 	"repro/pssp"
 )
 
@@ -32,42 +31,44 @@ func (d *Daemon) jobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, err
 		}
 		return d.bootJob(p, t)
+	// A whole job decodes its kind's params only; the lease fields of the
+	// shard params stay zero (see workload.go).
 	case "attack":
-		var p AttackParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
+		var p CampaignShardParams
+		if err := unmarshalParams(req.Params, &p.AttackParams); err != nil {
 			return nil, err
 		}
-		return d.attackJob(p, t)
+		return d.campaignJob(p, t, true)
 	case "loadtest":
-		var p LoadParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
+		var p LoadShardParams
+		if err := unmarshalParams(req.Params, &p.LoadParams); err != nil {
 			return nil, err
 		}
-		return d.loadJob(p, t)
+		return d.loadJob(p, t, true)
 	case "fuzz":
-		var p FuzzParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
+		var p FuzzShardParams
+		if err := unmarshalParams(req.Params, &p.FuzzParams); err != nil {
 			return nil, err
 		}
-		return d.fuzzJob(p, t)
+		return d.fuzzJob(p, t, true)
 	case "campaignshard":
 		var p CampaignShardParams
 		if err := unmarshalParams(req.Params, &p); err != nil {
 			return nil, err
 		}
-		return d.campaignShardJob(p, t)
+		return d.campaignJob(p, t, false)
 	case "loadshard":
 		var p LoadShardParams
 		if err := unmarshalParams(req.Params, &p); err != nil {
 			return nil, err
 		}
-		return d.loadShardJob(p, t)
+		return d.loadJob(p, t, false)
 	case "fuzzshard":
 		var p FuzzShardParams
 		if err := unmarshalParams(req.Params, &p); err != nil {
 			return nil, err
 		}
-		return d.fuzzShardJob(p, t)
+		return d.fuzzJob(p, t, false)
 	default:
 		return nil, badRequest("unknown method %q", req.Method)
 	}
@@ -130,160 +131,5 @@ func (d *Daemon) bootJob(p BootParams, t *tenant) (jobRun, error) {
 		}
 		d.pool.checkin(d.ctx, e)
 		return res, 0, nil
-	}, nil
-}
-
-// attackJob is psspattack's campaign as a daemon job. The campaign's
-// victims are replicas derived purely from the job seed, so running it on
-// a pooled machine is byte-identical to the CLI building a fresh one.
-func (d *Daemon) attackJob(p AttackParams, t *tenant) (jobRun, error) {
-	p = NormalizeAttackParams(p)
-	s, err := parseScheme(p.Scheme, "ssp")
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, ev *eventStream) (any, uint64, error) {
-		seed := d.jobSeed(t, p.Seed)
-		tr := obs.TraceFrom(ctx)
-		e, err := d.pool.checkout(ctx, poolKey{imageKey{app: p.Target, scheme: s}, seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		defer d.pool.checkin(d.ctx, e)
-		res, err := e.m.Campaign(ctx, e.img, pssp.CampaignConfig{
-			Strategy:     p.Strategy,
-			Replications: p.Repeats,
-			Workers:      p.Workers,
-			Seed:         seed,
-			Attack:       pssp.AttackConfig{MaxTrials: p.Budget},
-			Progress: func(cp pssp.CampaignProgress) {
-				tr.Event("campaign progress", cp.Cycles, "")
-				ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
-			},
-		})
-		var cost uint64
-		if res != nil {
-			cost = res.Cycles
-		}
-		if err != nil {
-			if canceledPartial(err, res != nil && res.Completed > 0) {
-				rep := BuildAttackReport(p.Target, s, seed, p.Budget, p.Repeats, p.Workers, res)
-				rep.Canceled = true
-				return rep, cost, nil
-			}
-			return nil, cost, err
-		}
-		return BuildAttackReport(p.Target, s, seed, p.Budget, p.Repeats, p.Workers, res), cost, nil
-	}, nil
-}
-
-func (d *Daemon) loadJob(p LoadParams, t *tenant) (jobRun, error) {
-	// Zero-value params take psspload's flag defaults, so an API job and a
-	// CLI invocation agree on the scenario.
-	p = NormalizeLoadParams(p)
-	s, err := parseScheme(p.Scheme, "p-ssp")
-	if err != nil {
-		return nil, err
-	}
-	// Validate arrivals before admission, so the error never costs a slot.
-	if _, err := ParseArrivals(p.Arrivals); err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, ev *eventStream) (any, uint64, error) {
-		seed := d.jobSeed(t, p.Seed)
-		e, err := d.pool.checkout(ctx, poolKey{imageKey{app: p.App, scheme: s}, seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		defer d.pool.checkin(d.ctx, e)
-		cfg, err := LoadWorkload(p, p.App, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		tr := obs.TraceFrom(ctx)
-		cfg.Progress = func(lp pssp.LoadProgress) {
-			tr.Event("load progress", lp.P99Cycles, "")
-			ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
-		}
-		if len(p.Sweep) > 0 {
-			sw, err := e.m.LoadSweep(ctx, e.img, cfg, p.Sweep)
-			var cost uint64
-			if sw != nil {
-				for _, pt := range sw.Points {
-					cost += loadCost(pt.Report)
-				}
-			}
-			if err != nil {
-				if canceledPartial(err, sw != nil && len(sw.Points) > 0) {
-					return LoadResult{Sweep: sw, Canceled: true}, cost, nil
-				}
-				return nil, cost, err
-			}
-			return LoadResult{Sweep: sw}, cost, nil
-		}
-		rep, err := e.m.LoadTest(ctx, e.img, cfg)
-		var cost uint64
-		if rep != nil {
-			cost = loadCost(rep)
-		}
-		if err != nil {
-			if canceledPartial(err, rep != nil && rep.Requests > 0) {
-				return LoadResult{Report: rep, Canceled: true}, cost, nil
-			}
-			return nil, cost, err
-		}
-		return LoadResult{Report: rep}, cost, nil
-	}, nil
-}
-
-// loadCost approximates a workload's victim-cycle cost: the virtual-time
-// horizon times the shard count (each shard is one victim machine running
-// for the horizon). Loadgen reports don't carry per-request victim totals,
-// so machine-time is the honest upper bound to charge.
-func loadCost(rep *pssp.LoadReport) uint64 {
-	if rep == nil {
-		return 0
-	}
-	return rep.DurationCycles * uint64(rep.Shards)
-}
-
-func (d *Daemon) fuzzJob(p FuzzParams, t *tenant) (jobRun, error) {
-	p = NormalizeFuzzParams(p)
-	s, err := parseScheme(p.Scheme, "ssp")
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, ev *eventStream) (any, uint64, error) {
-		seed := d.jobSeed(t, p.Seed)
-		tr := obs.TraceFrom(ctx)
-		e, err := d.pool.checkout(ctx, poolKey{imageKey{app: p.App, scheme: s}, seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		defer d.pool.checkin(d.ctx, e)
-		rep, err := e.m.Fuzz(ctx, e.img, pssp.FuzzConfig{
-			Seeds:    p.Seeds,
-			Dict:     p.Dict,
-			Execs:    p.Execs,
-			Shards:   p.Shards,
-			Workers:  p.Workers,
-			Seed:     seed,
-			MaxInput: p.MaxInput,
-			Progress: func(fp pssp.FuzzProgress) {
-				tr.Event("fuzz round", 0, "")
-				ev.progress(ProgressEvent{Kind: "fuzz", Fuzz: &fp})
-			},
-		})
-		var cost uint64
-		if rep != nil {
-			cost = rep.Cycles
-		}
-		if err != nil {
-			if canceledPartial(err, rep != nil && rep.Execs > 0) {
-				return FuzzResult{FuzzReport: rep, Canceled: true}, cost, nil
-			}
-			return nil, cost, err
-		}
-		return FuzzResult{FuzzReport: rep}, cost, nil
 	}, nil
 }

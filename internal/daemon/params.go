@@ -2,12 +2,13 @@ package daemon
 
 import "repro/pssp"
 
-// Wire-param normalization shared by the whole-job handlers (attackJob,
-// loadJob, fuzzJob), the shard-lease handlers, and the fabric coordinator.
-// A coordinator plans a job from the same normalized params a worker
-// executes a lease from, so the two resolve the same scenario by
-// construction — the defaults here are psspattack/psspload/psspfuzz's flag
-// defaults, which is what keeps daemon jobs byte-identical to CLI runs.
+// Wire-param normalization and the params→config mapping, one per kind,
+// shared by the daemon's workload jobs (whole and lease alike) and the
+// fabric coordinator. A coordinator plans a job from the same normalized
+// params a worker executes a lease from, so the two resolve the same
+// scenario by construction — the defaults here are psspattack/psspload/
+// psspfuzz's flag defaults, which is what keeps daemon jobs byte-identical
+// to CLI runs.
 
 // NormalizeAttackParams applies psspattack's flag defaults (Seed excepted:
 // 0 keeps meaning "derive from the tenant stream" for whole jobs, and is
@@ -108,4 +109,45 @@ func LoadWorkload(p LoadParams, label string, seed uint64) (pssp.WorkloadConfig,
 		Seed:           seed,
 		Attack:         pssp.AttackConfig{MaxTrials: p.Budget},
 	}, nil
+}
+
+// PointParams returns the lease params of one sweep point: p with the
+// Scale'd point plan's label and arrival knobs, which LoadWorkload resolves
+// back into exactly that plan.
+func PointParams(p LoadParams, point pssp.LoadPlan) LoadShardParams {
+	sp := LoadShardParams{LoadParams: p, Label: point.Label}
+	sp.Sweep = nil
+	sp.Rate = point.Arrivals.RatePerMcycle
+	sp.Clients = point.Arrivals.Clients
+	return sp
+}
+
+// CampaignConfig maps normalized attack params onto the facade campaign
+// configuration under seed — the single params→CampaignConfig mapping.
+// Progress is the caller's to attach.
+func CampaignConfig(p AttackParams, seed uint64) pssp.CampaignConfig {
+	return pssp.CampaignConfig{
+		Strategy:     p.Strategy,
+		Replications: p.Repeats,
+		Workers:      p.Workers,
+		Seed:         seed,
+		Attack:       pssp.AttackConfig{MaxTrials: p.Budget},
+	}
+}
+
+// FuzzConfig maps normalized fuzz params onto the facade fuzzing
+// configuration under seed, starting from the coverage frontier baseVirgin
+// (nil for a fresh run): the single params→FuzzConfig mapping. Progress is
+// the caller's to attach.
+func FuzzConfig(p FuzzParams, seed uint64, baseVirgin []byte) pssp.FuzzConfig {
+	return pssp.FuzzConfig{
+		Seeds:      p.Seeds,
+		Dict:       p.Dict,
+		Execs:      p.Execs,
+		Shards:     p.Shards,
+		Workers:    p.Workers,
+		Seed:       seed,
+		MaxInput:   p.MaxInput,
+		BaseVirgin: baseVirgin,
+	}
 }

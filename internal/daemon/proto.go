@@ -340,8 +340,9 @@ func BuildAttackReport(target string, scheme pssp.Scheme, seed uint64, budget, r
 	return rep
 }
 
-// FuzzResult is the fuzz job's result — psspfuzz's -json shape, shared for
-// the same no-drift reason as AttackReport.
+// FuzzResult is the fuzz job's result and the one declaration of the
+// psspfuzz -json shape: psspfuzz, psspctl and the fabric control plane all
+// emit it, so their fixed-seed outputs cannot drift apart.
 type FuzzResult struct {
 	*pssp.FuzzReport
 	// TimedOut marks a wall-clock-boxed partial report (psspfuzz
@@ -349,6 +350,8 @@ type FuzzResult struct {
 	TimedOut bool `json:"timed_out,omitempty"`
 	// Canceled marks a report truncated by job cancellation.
 	Canceled bool `json:"canceled,omitempty"`
+	// UntilStall is a continuous run's convergence summary (-until-stall).
+	UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
 }
 
 // LoadResult is the loadtest job's result: the report (or sweep report),

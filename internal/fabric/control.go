@@ -8,10 +8,10 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/pssp"
 )
 
 // The coordinator's control plane speaks the daemon's line protocol
@@ -112,21 +112,28 @@ func (c *Coordinator) Serve(ctx context.Context, lis net.Listener) error {
 	}
 }
 
+// maxLine bounds one protocol line — the daemon's limit, since fuzz
+// corpora ride in requests — including a connection's first line.
+const maxLine = 8 << 20
+
+// handshakeTimeout bounds how long a fresh connection may take to send its
+// first line, so a silent peer cannot pin a goroutine forever.
+var handshakeTimeout = 10 * time.Second
+
 // handleConn reads a connection's first line to tell a registering worker
 // from a control client.
 func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 64<<10)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 64<<10), maxLine)
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	if !sc.Scan() {
+		// Silent past the deadline, an over-long line, or gone.
 		conn.Close()
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 	var req daemon.Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		conn.Close()
-		return
-	}
-	if req.Method == "register" {
+	if json.Unmarshal(sc.Bytes(), &req) == nil && req.Method == "register" {
 		var p daemon.RegisterParams
 		if len(req.Params) > 0 {
 			json.Unmarshal(req.Params, &p)
@@ -141,19 +148,21 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		// The handshake is half-duplex: the worker sends nothing after its
-		// register line until we issue requests, so br holds no buffered
-		// post-handshake bytes and the raw conn can carry the client side.
+		// register line until we issue requests, so the scanner holds no
+		// buffered post-handshake bytes and the raw conn can carry the
+		// client side.
 		c.AttachConn(conn, name)
 		return
 	}
-	c.serveControl(ctx, conn, br, req)
+	c.serveControl(ctx, conn, sc)
 }
 
 // serveControl answers control requests on one connection, starting with
-// the already-read first request. Requests are answered in order; submit
+// the line sc already holds. Requests are answered in order; submit
 // returns immediately (the job runs in the background) so a single control
-// connection can multiplex submissions and polls.
-func (c *Coordinator) serveControl(ctx context.Context, conn net.Conn, br *bufio.Reader, first daemon.Request) {
+// connection can multiplex submissions and polls. A malformed line gets a
+// bad-request response and the connection stays usable.
+func (c *Coordinator) serveControl(ctx context.Context, conn net.Conn, sc *bufio.Scanner) {
 	defer conn.Close()
 	var wmu sync.Mutex
 	enc := json.NewEncoder(conn)
@@ -162,17 +171,16 @@ func (c *Coordinator) serveControl(ctx context.Context, conn net.Conn, br *bufio
 		defer wmu.Unlock()
 		return enc.Encode(resp) == nil
 	}
-	if !c.controlRequest(ctx, first, reply) {
-		return
-	}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 64<<10), 8<<20)
-	for sc.Scan() {
+	for ok := true; ok; ok = sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var req daemon.Request
 		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+			bad := &daemon.Error{Code: daemon.CodeBadRequest, Message: fmt.Sprintf("malformed control line: %v", err)}
+			if !reply(daemon.Response{Error: bad}) {
+				return
+			}
 			continue
 		}
 		if !c.controlRequest(ctx, req, reply) {
@@ -297,49 +305,47 @@ func (c *Coordinator) jobStatuses(id uint64) []JobStatus {
 	return out
 }
 
+// Job validates p and returns the run that executes it to its report —
+// the value psspctl's one-shot mode emits and the control plane stores for
+// -aggregate, so the two are byte-identical by construction.
+func (c *Coordinator) Job(p SubmitParams) (func(ctx context.Context) (any, error), error) {
+	switch {
+	case p.Kind == "campaign" && p.Attack != nil:
+		a := *p.Attack
+		return func(ctx context.Context) (any, error) { return c.Campaign(ctx, a) }, nil
+	case p.Kind == "loadtest" && p.Load != nil && len(p.Load.Sweep) > 0:
+		l := *p.Load
+		return func(ctx context.Context) (any, error) { return c.LoadSweep(ctx, l) }, nil
+	case p.Kind == "loadtest" && p.Load != nil:
+		l := *p.Load
+		return func(ctx context.Context) (any, error) { return c.LoadTest(ctx, l) }, nil
+	case p.Kind == "fuzz" && p.Fuzz != nil:
+		f := *p.Fuzz
+		return func(ctx context.Context) (any, error) {
+			res := daemon.FuzzResult{}
+			var err error
+			if p.UntilStall > 0 {
+				res.FuzzReport, res.UntilStall, err = c.FuzzUntilStall(ctx, f, p.CorpusDir, p.UntilStall)
+			} else {
+				res.FuzzReport, err = c.Fuzz(ctx, f, p.CorpusDir)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return res, nil
+		}, nil
+	case p.Kind == "campaign" || p.Kind == "loadtest" || p.Kind == "fuzz":
+		return nil, fmt.Errorf("submit %s: missing the kind's params", p.Kind)
+	}
+	return nil, fmt.Errorf("submit: unknown kind %q (want campaign, loadtest or fuzz)", p.Kind)
+}
+
 // submit validates p, registers a job, and starts it in the background.
 func (c *Coordinator) submit(ctx context.Context, p SubmitParams) (uint64, error) {
-	var run func(ctx context.Context) (any, error)
-	switch p.Kind {
-	case "campaign":
-		if p.Attack == nil {
-			return 0, fmt.Errorf("submit campaign: missing attack params")
-		}
-		a := *p.Attack
-		run = func(ctx context.Context) (any, error) { return c.Campaign(ctx, a) }
-	case "loadtest":
-		if p.Load == nil {
-			return 0, fmt.Errorf("submit loadtest: missing load params")
-		}
-		l := *p.Load
-		if len(l.Sweep) > 0 {
-			run = func(ctx context.Context) (any, error) { return c.LoadSweep(ctx, l) }
-		} else {
-			run = func(ctx context.Context) (any, error) { return c.LoadTest(ctx, l) }
-		}
-	case "fuzz":
-		if p.Fuzz == nil {
-			return 0, fmt.Errorf("submit fuzz: missing fuzz params")
-		}
-		f := *p.Fuzz
-		if p.UntilStall > 0 {
-			run = func(ctx context.Context) (any, error) {
-				rep, sum, err := c.FuzzUntilStall(ctx, f, p.CorpusDir, p.UntilStall)
-				if err != nil {
-					return nil, err
-				}
-				return struct {
-					*pssp.FuzzReport
-					UntilStall *StallSummary `json:"until_stall,omitempty"`
-				}{rep, sum}, nil
-			}
-		} else {
-			run = func(ctx context.Context) (any, error) { return c.Fuzz(ctx, f, p.CorpusDir) }
-		}
-	default:
-		return 0, fmt.Errorf("submit: unknown kind %q (want campaign, loadtest or fuzz)", p.Kind)
+	run, err := c.Job(p)
+	if err != nil {
+		return 0, err
 	}
-
 	jctx, cancel := context.WithCancel(ctx)
 	t := c.table()
 	t.mu.Lock()

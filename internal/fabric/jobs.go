@@ -9,7 +9,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/pssp"
 )
@@ -18,9 +17,10 @@ import (
 // and require an explicit non-zero Seed: a lease must be re-executable
 // bit-identically on any worker, which a derived per-job seed is not.
 //
-// The coordinator resolves each job's engine plan itself (via the facade's
-// plan methods, the same resolution path workers run), leases shard ranges
-// of that plan, and folds the returned partials with the engines' own merge
+// A fabric job is the daemon's whole job with the merge moved to the
+// coordinator: it resolves the engine plan itself (via the facade's plan
+// methods, the same resolution path workers run), leases shard ranges of
+// that plan, and folds the returned partials with the engines' own merge
 // code — so the reports here are byte-identical to psspattack/psspload/
 // psspfuzz at the same seed.
 
@@ -38,6 +38,46 @@ func machineFor(scheme string, dflt string, seed uint64) (*pssp.Machine, pssp.Sc
 	return pssp.NewMachine(pssp.WithSeed(seed), pssp.WithScheme(s)), s, nil
 }
 
+// partial is a worker's wire partial, checkable against the lease of plan
+// it answers.
+type partial[P any] interface {
+	Fits(plan P, lo, hi int) bool
+}
+
+// collect is the fabric's one lease-collect loop: it runs shards [0, n) of
+// plan across the workers as leases of method, with params built by lease,
+// and gathers the partials each result carries for the caller's merge. A
+// worker answering with a partial that does not fit its lease [lo,hi) —
+// one outside the range, which would silently overwrite another lease's
+// slots in the merge, or one shaped unlike the plan, which would crash it
+// — fails that lease like a lost worker: it is declared dead and the lease
+// re-issued.
+func collect[R, P any, T partial[P]](ctx context.Context, c *Coordinator, kind, method string, plan P, n int,
+	lease func(lo, hi int) any, parts func(*R) []T) ([]T, error) {
+	var (
+		mu  sync.Mutex
+		all []T
+	)
+	ctx = obs.ContextWithTrace(ctx, c.beginTrace(kind))
+	err := c.runLeases(ctx, n, func(ctx context.Context, w *worker, lo, hi int) error {
+		var res R
+		if err := c.callLease(ctx, w, method, lease(lo, hi), &res); err != nil {
+			return err
+		}
+		got := parts(&res)
+		for _, p := range got {
+			if !p.Fits(plan, lo, hi) {
+				return fmt.Errorf("fabric: %s answered lease [%d,%d) with a partial that does not fit it", w.name, lo, hi)
+			}
+		}
+		mu.Lock()
+		all = append(all, got...)
+		mu.Unlock()
+		return nil
+	})
+	return all, err
+}
+
 // Campaign fans an attack campaign's replications out across the workers
 // and returns the merged report — the exact shape psspattack -json emits.
 func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*daemon.AttackReport, error) {
@@ -49,37 +89,19 @@ func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*dae
 	if err != nil {
 		return nil, err
 	}
-	plan, err := m.CampaignPlan(pssp.CampaignConfig{
-		Strategy:     p.Strategy,
-		Replications: p.Repeats,
-		Workers:      p.Workers,
-		Seed:         p.Seed,
-		Attack:       pssp.AttackConfig{MaxTrials: p.Budget},
-	})
+	plan, err := m.CampaignPlan(daemon.CampaignConfig(p, p.Seed))
 	if err != nil {
 		return nil, err
 	}
-
-	var mu sync.Mutex
-	var parts []*pssp.CampaignPartial
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace("campaign"))
-	err = c.runLeases(ctx, plan.Replications, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res daemon.CampaignShardResult
-		sp := daemon.CampaignShardParams{AttackParams: p, Lo: lo, Hi: hi}
-		if err := c.callLease(ctx, w, "campaignshard", sp, &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		parts = append(parts, res.Partial)
-		mu.Unlock()
-		return nil
-	})
+	parts, err := collect(ctx, c, "campaign", "campaignshard", plan, plan.Replications,
+		func(lo, hi int) any { return daemon.CampaignShardParams{AttackParams: p, Lo: lo, Hi: hi} },
+		func(r *daemon.CampaignShardResult) []*pssp.CampaignPartial { return []*pssp.CampaignPartial{r.Partial} })
 	if err != nil {
 		return nil, err
 	}
 	agg := pssp.MergeCampaignPartials(plan, parts)
-	if agg.Completed == 0 && agg.OracleErr != nil {
-		return nil, agg.OracleErr
+	if err := agg.Failed(); err != nil {
+		return nil, err
 	}
 	rep := daemon.BuildAttackReport(p.Target, s, p.Seed, p.Budget, p.Repeats, p.Workers, agg)
 	return &rep, nil
@@ -102,34 +124,18 @@ func loadPlan(p daemon.LoadParams) (pssp.LoadPlan, error) {
 	return m.LoadPlan(img, cfg)
 }
 
-// runLoadPoint leases one (possibly sweep-scaled) workload's shards and
-// merges them. plan is the resolved-unnormalized scenario of the point;
-// the shipped params carry the point's label and scaled arrival knobs.
-func (c *Coordinator) runLoadPoint(ctx context.Context, p daemon.LoadParams, plan pssp.LoadPlan) (*pssp.LoadReport, error) {
+// loadPoint leases one whole workload's shards and merges them. plan is
+// the resolved-unnormalized scenario of the point (the base plan, or a
+// sweep point's Scale'd one).
+func (c *Coordinator) loadPoint(ctx context.Context, p daemon.LoadParams, plan pssp.LoadPlan) (*pssp.LoadReport, error) {
 	norm, err := plan.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	sp := daemon.LoadShardParams{LoadParams: p, Label: plan.Label}
-	sp.Sweep = nil
-	sp.Rate = plan.Arrivals.RatePerMcycle
-	sp.Clients = plan.Arrivals.Clients
-
-	var mu sync.Mutex
-	var parts []*pssp.LoadPartial
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace("loadtest"))
-	err = c.runLeases(ctx, norm.Shards, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res daemon.LoadShardResult
-		lp := sp
-		lp.Lo, lp.Hi = lo, hi
-		if err := c.callLease(ctx, w, "loadshard", lp, &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		parts = append(parts, res.Partials...)
-		mu.Unlock()
-		return nil
-	})
+	sp := daemon.PointParams(p, plan)
+	parts, err := collect(ctx, c, "loadtest", "loadshard", norm, norm.Shards,
+		func(lo, hi int) any { lp := sp; lp.Lo, lp.Hi = lo, hi; return lp },
+		func(r *daemon.LoadShardResult) []*pssp.LoadPartial { return r.Partials })
 	if err != nil {
 		return nil, err
 	}
@@ -150,63 +156,23 @@ func (c *Coordinator) LoadTest(ctx context.Context, p daemon.LoadParams) (*pssp.
 	if err != nil {
 		return nil, err
 	}
-	return c.runLoadPoint(ctx, p, plan)
+	return c.loadPoint(ctx, p, plan)
 }
 
 // LoadSweep steps the scenario through p.Sweep's offered-load multipliers
-// (each point leased across the workers) and locates the saturation knee —
-// the exact report psspload -sweep -json emits.
+// (each point leased across the workers) with loadgen's sweep loop and
+// knee rule — the exact report psspload -sweep -json emits.
 func (c *Coordinator) LoadSweep(ctx context.Context, p daemon.LoadParams) (*pssp.LoadSweepReport, error) {
 	p = daemon.NormalizeLoadParams(p)
 	if p.Seed == 0 {
 		return nil, errSeed
 	}
-	if len(p.Sweep) == 0 {
-		return nil, errors.New("fabric: sweep needs at least one multiplier")
-	}
 	base, err := loadPlan(p)
 	if err != nil {
 		return nil, err
 	}
-	sw := &pssp.LoadSweepReport{Label: base.Label}
-	for _, m := range p.Sweep {
-		if !(m > 0) {
-			return sw, fmt.Errorf("fabric: non-positive sweep multiplier %g", m)
-		}
-		rep, err := c.runLoadPoint(ctx, p, loadgen.Scale(base, m))
-		if err != nil {
-			return sw, err
-		}
-		sw.Points = append(sw.Points, pssp.LoadSweepPoint{Multiplier: m, Report: rep})
-		if base.Arrivals.Kind != loadgen.ClosedLoop &&
-			rep.Efficiency() >= loadgen.KneeEfficiency && m > sw.KneeMultiplier {
-			sw.KneeMultiplier = m
-		}
-	}
-	return sw, nil
-}
-
-// fuzzPlan resolves the coordinator-side fuzzing plan: the normalized
-// engine scenario with the final shard count and the resolved seed corpus
-// the leases must ship.
-func fuzzPlan(p daemon.FuzzParams, seeds [][]byte, baseVirgin []byte) (pssp.FuzzPlan, error) {
-	m, _, err := machineFor(p.Scheme, "ssp", p.Seed)
-	if err != nil {
-		return pssp.FuzzPlan{}, err
-	}
-	img, err := m.Pipeline().CompileApp(p.App).Image()
-	if err != nil {
-		return pssp.FuzzPlan{}, err
-	}
-	return m.FuzzPlan(img, pssp.FuzzConfig{
-		Seeds:      seeds,
-		Dict:       p.Dict,
-		Execs:      p.Execs,
-		Shards:     p.Shards,
-		Workers:    p.Workers,
-		Seed:       p.Seed,
-		MaxInput:   p.MaxInput,
-		BaseVirgin: baseVirgin,
+	return loadgen.Sweep(ctx, base, p.Sweep, func(ctx context.Context, plan pssp.LoadPlan) (*pssp.LoadReport, error) {
+		return c.loadPoint(ctx, p, plan)
 	})
 }
 
@@ -239,36 +205,27 @@ func (c *Coordinator) Fuzz(ctx context.Context, p daemon.FuzzParams, corpusDir s
 
 // fuzzRound is one lease-and-merge pass of Fuzz/FuzzUntilStall.
 func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, seeds [][]byte, baseVirgin []byte, corpusDir string) (*pssp.FuzzReport, error) {
-	plan, err := fuzzPlan(p, seeds, baseVirgin)
+	m, _, err := machineFor(p.Scheme, "ssp", p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sp := daemon.FuzzShardParams{
-		FuzzParams: p,
-		Label:      plan.Label,
-		BaseVirgin: baseVirgin,
-		CorpusDir:  corpusDir,
+	img, err := m.Pipeline().CompileApp(p.App).Image()
+	if err != nil {
+		return nil, err
 	}
-	// Ship the resolved seed corpus, not the raw one: workers must mutate
-	// from exactly the seeds the plan resolved (built-in request default,
-	// corpus-loaded extras), or the scenario would drift.
-	sp.Seeds = plan.Seeds
-
-	var mu sync.Mutex
-	var parts []*pssp.FuzzPartial
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace("fuzz"))
-	err = c.runLeases(ctx, plan.Shards, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res daemon.FuzzShardResult
-		fp := sp
-		fp.Lo, fp.Hi = lo, hi
-		if err := c.callLease(ctx, w, "fuzzshard", fp, &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		parts = append(parts, res.Partials...)
-		mu.Unlock()
-		return nil
-	})
+	p.Seeds = seeds
+	plan, err := m.FuzzPlan(img, daemon.FuzzConfig(p, p.Seed, baseVirgin))
+	if err != nil {
+		return nil, err
+	}
+	sp := daemon.FuzzShardParams{FuzzParams: p, BaseVirgin: baseVirgin, CorpusDir: corpusDir}
+	// Ship the resolved label and seed corpus, not the raw ones: workers
+	// must mutate from exactly the seeds the plan resolved (built-in
+	// request default, corpus-loaded extras), or the scenario would drift.
+	sp.Label, sp.Seeds = plan.Label, plan.Seeds
+	parts, err := collect(ctx, c, "fuzz", "fuzzshard", plan, plan.Shards,
+		func(lo, hi int) any { fp := sp; fp.Lo, fp.Hi = lo, hi; return fp },
+		func(r *daemon.FuzzShardResult) []*pssp.FuzzPartial { return r.Partials })
 	if err != nil {
 		return nil, err
 	}
@@ -285,71 +242,29 @@ func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, seeds 
 // shape.
 type StallSummary = pssp.FuzzStallSummary
 
-// FuzzUntilStall runs distributed fuzzing rounds until the merged coverage
-// frontier's hash is unchanged for stall consecutive rounds — the fabric's
-// continuous mode. Round r>0 re-derives its mutation seed as
-// rng.Mix(seed, r) and seeds itself with every input discovered so far
-// (through the shared corpus when corpusDir is set, in memory otherwise),
-// with the accumulated frontier rebroadcast as the round's base virgin
-// map. The frontier is monotone and bounded, so the loop terminates. The
-// returned report is the final round's (its frontier and corpus are
-// cumulative by construction).
+// FuzzUntilStall runs pssp.FuzzUntilStall — the loop psspfuzz -until-stall
+// runs locally — with each round leased across the workers: the fabric's
+// continuous mode. With corpusDir set, rounds reseed from the shared
+// corpus (which the leases fold their discoveries into), else in memory.
 func (c *Coordinator) FuzzUntilStall(ctx context.Context, p daemon.FuzzParams, corpusDir string, stall int) (*pssp.FuzzReport, *StallSummary, error) {
 	p = daemon.NormalizeFuzzParams(p)
 	if p.Seed == 0 {
 		return nil, nil, errSeed
 	}
-	if stall <= 0 {
-		stall = 1
-	}
-	baseSeeds := p.Seeds
-	seeds := baseSeeds
-	var baseVirgin []byte
-	sum := &StallSummary{StallRounds: stall}
-	var rep *pssp.FuzzReport
-	var lastHash uint64
-	same, started := 0, false
-	for {
-		pp := p
-		if sum.Rounds > 0 {
-			pp.Seed = rng.Mix(p.Seed, uint64(sum.Rounds))
-		}
-		if corpusDir != "" {
-			// Reload between rounds: other coordinators or local psspfuzz
-			// runs sharing the corpus contribute seeds and frontier too.
-			corp, err := store.OpenCorpus(corpusDir)
-			if err != nil {
-				return rep, sum, err
-			}
-			saved, frontier, err := corp.Load()
-			if err != nil {
-				return rep, sum, err
-			}
-			seeds = append(append([][]byte{}, baseSeeds...), saved...)
-			baseVirgin = frontier
-		}
-		r, err := c.fuzzRound(ctx, pp, seeds, baseVirgin, corpusDir)
+	var load func() ([][]byte, []byte, error)
+	if corpusDir != "" {
+		corp, err := store.OpenCorpus(corpusDir)
 		if err != nil {
-			return rep, sum, err
+			return nil, nil, err
 		}
-		rep = r
-		sum.Rounds++
-		sum.TotalExecs += r.Execs
-		if corpusDir == "" {
-			seeds = append(append([][]byte{}, baseSeeds...), r.CorpusInputs()...)
-			baseVirgin = r.Frontier()
-		}
-		if started && r.CoverageHash == lastHash {
-			same++
-		} else {
-			same = 0
-		}
-		started = true
-		lastHash = r.CoverageHash
-		c.logf("fabric: fuzz round %d: %d edges, frontier %016x (%d/%d stalled)",
-			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
-		if same >= stall {
-			return rep, sum, nil
-		}
+		load = corp.Load
 	}
+	round := func(ctx context.Context, seed uint64, seeds [][]byte, baseVirgin []byte) (*pssp.FuzzReport, error) {
+		rp := p
+		rp.Seed = seed
+		return c.fuzzRound(ctx, rp, seeds, baseVirgin, corpusDir)
+	}
+	return pssp.FuzzUntilStall(ctx, p.Seed, p.Seeds, stall, load, round, func(format string, args ...any) {
+		c.logf("fabric: fuzz "+format, args...)
+	})
 }

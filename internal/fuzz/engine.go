@@ -227,27 +227,18 @@ func mergeCov(virgin []byte, cov *vm.CovMap) int {
 	return news
 }
 
-// shardResult is one shard's complete outcome.
-type shardResult struct {
-	execs, mutationExecs, crashes int
-	cycles, insts                 uint64
-	corpus                        [][]byte
-	virgin                        []byte
-	findings                      []Finding
-}
-
 // minFiller is the canonical byte minimization rewrites inputs toward —
 // the attack layer's default buffer filler.
 const minFiller = 'A'
 
-// runShard fuzzes one shard to its budget. The returned result is valid
-// even on error (partial, up to the failure).
-func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progressMeter) (st *shardResult, err error) {
+// runShard fuzzes one shard to its budget. The returned partial is valid
+// even on error (up to the failure).
+func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progressMeter) (st *Partial, err error) {
 	r := rng.NewStream(cfg.Seed, uint64(shard))
 	mut := &mutator{r: r, dict: cfg.Dict, max: cfg.MaxInput}
-	st = &shardResult{virgin: make([]byte, vm.CovMapSize)}
+	st = &Partial{Shard: shard, Virgin: make([]byte, vm.CovMapSize)}
 	if len(cfg.BaseVirgin) == vm.CovMapSize {
-		copy(st.virgin, cfg.BaseVirgin)
+		copy(st.Virgin, cfg.BaseVirgin)
 	}
 	seen := make(map[crashKey]bool)
 
@@ -261,9 +252,9 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 		if err != nil {
 			return Exec{}, nil, err
 		}
-		st.execs++
-		st.cycles += out.Cycles
-		st.insts += out.Insts
+		st.Execs++
+		st.Cycles += out.Cycles
+		st.Insts += out.Insts
 		mt.exec(out.Crashed)
 		return out, cov, nil
 	}
@@ -325,11 +316,11 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 	// triage records a crashing execution: dedupe by key, then minimize the
 	// first input that reached each unique site.
 	triage := func(input []byte, out Exec) error {
-		st.crashes++
+		st.Crashes++
 		f := Finding{
 			Shard:    shard,
-			Exec:     st.execs,
-			Cycles:   st.cycles,
+			Exec:     st.Execs,
+			Cycles:   st.Cycles,
 			Input:    append([]byte(nil), input...),
 			CrashPC:  out.CrashPC,
 			Kind:     out.Kind,
@@ -343,7 +334,7 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 		mt.advance(0, 0, 1)
 		min, err := minimize(f.Input, k)
 		f.Minimized = min
-		st.findings = append(st.findings, f)
+		st.Findings = append(st.Findings, f)
 		return err
 	}
 
@@ -355,32 +346,32 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 		if err != nil {
 			return st, err
 		}
-		mt.advance(mergeCov(st.virgin, cov), 0, 0)
+		mt.advance(mergeCov(st.Virgin, cov), 0, 0)
 		if out.Crashed {
 			if err := triage(s, out); err != nil {
 				return st, err
 			}
 			continue
 		}
-		st.corpus = append(st.corpus, append([]byte(nil), s...))
+		st.Corpus = append(st.Corpus, append([]byte(nil), s...))
 		mt.advance(0, 1, 0)
 	}
 
 	// Mutation phase: pick a parent, mutate, execute; coverage novelty
 	// admits survivors to the corpus, crashes go to triage.
-	for ; st.mutationExecs < budget; st.mutationExecs++ {
+	for ; st.MutationExecs < budget; st.MutationExecs++ {
 		var parent []byte
-		if len(st.corpus) > 0 {
-			parent = st.corpus[r.Intn(len(st.corpus))]
+		if len(st.Corpus) > 0 {
+			parent = st.Corpus[r.Intn(len(st.Corpus))]
 		} else {
 			parent = cfg.Seeds[r.Intn(len(cfg.Seeds))]
 		}
-		input := mut.mutate(parent, st.corpus)
+		input := mut.mutate(parent, st.Corpus)
 		out, cov, err := execute(input)
 		if err != nil {
 			return st, err
 		}
-		news := mergeCov(st.virgin, cov)
+		news := mergeCov(st.Virgin, cov)
 		mt.advance(news, 0, 0)
 		if out.Crashed {
 			if err := triage(input, out); err != nil {
@@ -389,7 +380,7 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 			continue
 		}
 		if news > 0 {
-			st.corpus = append(st.corpus, input)
+			st.Corpus = append(st.Corpus, input)
 			mt.advance(0, 1, 0)
 		}
 	}
@@ -397,9 +388,11 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 }
 
 // Run executes the fuzzing campaign: cfg.Shards self-contained shards, each
-// against its own boot'ed victim, executed by cfg.Workers goroutines and
-// merged in shard order. For a fixed seed the Report is bit-identical at any
-// worker count.
+// against its own boot'ed victim, executed by cfg.Workers goroutines. It is
+// RunShards over the whole range followed by MergePartials — the one path
+// every fuzzing run takes, locally, in the daemon and across the fabric —
+// so for a fixed seed the Report is bit-identical at any worker count and
+// any lease split.
 //
 // On cancellation Run returns the partial report of the work done so far
 // together with ctx.Err(). Any transport/boot error aborts the run and is
@@ -409,25 +402,8 @@ func Run(ctx context.Context, cfg Config, boot Boot) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	results := make([]*shardResult, cfg.Shards)
-	mt := newProgressMeter(cfg)
-	// Cancellation and fatal-error semantics live in workpool.Run; a shard
-	// stores its (possibly partial) result before reporting any error, so
-	// cancelled runs still merge the work done so far.
-	poolErr := workpool.Run(ctx, cfg.Shards, cfg.Workers, func(ctx context.Context, shard int) error {
-		ex, err := boot(ctx, shard)
-		if err != nil {
-			return fmt.Errorf("fuzz: boot shard %d: %w", shard, err)
-		}
-		st, err := runShard(ctx, cfg, shard, ex, mt)
-		results[shard] = st // partial shard results still merge
-		if err == nil {
-			mt.shardDone()
-		}
-		return err
-	})
-	return merge(cfg, results), poolErr
+	parts, err := RunShards(ctx, cfg, boot, 0, cfg.Shards)
+	return merge(cfg, parts), err
 }
 
 // Normalize resolves the run's defaults and clamps (shards to execs,
@@ -438,11 +414,10 @@ func (c Config) Normalize() (Config, error) {
 	return c.withDefaults()
 }
 
-// Partial is one shard's complete result in wire form — the unit a fabric
-// worker ships back. It mirrors shardResult exactly (corpus inputs and the
-// bucketed virgin map included, base64 on the wire), so MergePartials
-// reassembles the very slot array Run would have merged and the distributed
-// report is bit-identical to the local one.
+// Partial is one shard's complete result — the engine's own shard state
+// (corpus inputs and the bucketed virgin map included, base64 on the wire)
+// and the unit a fabric worker ships back, so the distributed merge folds
+// exactly what a local run folds.
 type Partial struct {
 	Shard         int       `json:"shard"`
 	Execs         int       `json:"execs"`
@@ -455,39 +430,22 @@ type Partial struct {
 	Findings      []Finding `json:"findings,omitempty"`
 }
 
-// partial converts a shard's internal result to wire form.
-func (st *shardResult) partial(shard int) *Partial {
-	return &Partial{
-		Shard:         shard,
-		Execs:         st.execs,
-		MutationExecs: st.mutationExecs,
-		Crashes:       st.crashes,
-		Cycles:        st.cycles,
-		Insts:         st.insts,
-		Corpus:        st.corpus,
-		Virgin:        st.virgin,
-		Findings:      st.findings,
-	}
+// Fits reports whether p can answer lease [lo, hi) of a campaign: it is one of
+// those shards and its virgin map is absent or exactly one coverage map
+// long. A coordinator applies it before merging a worker's partial, since
+// MergePartials accepts any shard of the campaign and ORs the virgin map
+// into a map-sized union. The plan is unused (the map size is fixed); it
+// keeps the check's shape uniform across the engines.
+func (p *Partial) Fits(_ Config, lo, hi int) bool {
+	return p != nil && p.Shard >= lo && p.Shard < hi &&
+		(len(p.Virgin) == 0 || len(p.Virgin) == vm.CovMapSize)
 }
 
-// result converts a wire partial back to the engine's internal shard state.
-func (p *Partial) result() *shardResult {
-	return &shardResult{
-		execs:         p.Execs,
-		mutationExecs: p.MutationExecs,
-		crashes:       p.Crashes,
-		cycles:        p.Cycles,
-		insts:         p.Insts,
-		corpus:        p.Corpus,
-		virgin:        p.Virgin,
-		findings:      p.Findings,
-	}
-}
-
-// RunShards executes only shards [lo, hi) of the fuzzing campaign and
-// returns their partials in shard order. cfg must be the full (ideally
+// RunShards executes shards [lo, hi) of the fuzzing campaign and returns
+// their partials in shard order. cfg must be the full (ideally
 // pre-Normalized) scenario — shard indices keep their global meaning, so
-// rng streams and budget shares are identical to the single-process run.
+// rng streams and budget shares are identical at any split. On error the
+// partials hold whatever ran, a failed shard's up to its failure.
 func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Partial, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -500,54 +458,53 @@ func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Parti
 	if workers > hi-lo {
 		workers = hi - lo
 	}
-	results := make([]*shardResult, cfg.Shards)
+	slots := make([]*Partial, hi-lo)
 	mt := newProgressMeter(cfg)
+	// Cancellation and fatal-error semantics live in workpool.Run; a shard
+	// stores its (possibly partial) result before reporting any error, so
+	// cancelled runs still merge the work done so far.
 	poolErr := workpool.RunRange(ctx, lo, hi, workers, func(ctx context.Context, shard int) error {
 		ex, err := boot(ctx, shard)
 		if err != nil {
 			return fmt.Errorf("fuzz: boot shard %d: %w", shard, err)
 		}
 		st, err := runShard(ctx, cfg, shard, ex, mt)
-		results[shard] = st
+		slots[shard-lo] = st
 		if err == nil {
 			mt.shardDone()
 		}
 		return err
 	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
 	var parts []*Partial
-	for shard := lo; shard < hi; shard++ {
-		if st := results[shard]; st != nil {
-			parts = append(parts, st.partial(shard))
+	for _, st := range slots {
+		if st != nil {
+			parts = append(parts, st)
 		}
 	}
-	return parts, nil
+	return parts, poolErr
 }
 
-// MergePartials folds wire partials into the report Run would have produced
-// for the same cfg. Partials may arrive in any order and may repeat a shard
-// (a reassigned lease): slots are keyed by shard index, so a duplicate
-// overwrites with identical data. Missing shards merge like a cancelled
-// run's.
+// MergePartials folds partials into the run's report. Partials may arrive
+// in any order and may repeat a shard (a reassigned lease): slots are keyed
+// by shard index, so a duplicate overwrites with identical data. Missing
+// shards merge like a cancelled run's.
 func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*shardResult, cfg.Shards)
-	for _, p := range parts {
-		if p != nil && p.Shard >= 0 && p.Shard < cfg.Shards {
-			results[p.Shard] = p.result()
-		}
-	}
-	return merge(cfg, results), nil
+	return merge(cfg, parts), nil
 }
 
-// merge folds per-shard results (in shard order) into the final report,
-// deduplicating findings across shards by triage key.
-func merge(cfg Config, results []*shardResult) *Report {
+// merge folds partials into the final report in shard order, keyed by
+// shard index, deduplicating findings across shards by triage key.
+func merge(cfg Config, parts []*Partial) *Report {
+	results := make([]*Partial, cfg.Shards)
+	for _, p := range parts {
+		if p != nil && p.Shard >= 0 && p.Shard < cfg.Shards {
+			results[p.Shard] = p
+		}
+	}
 	rep := &Report{Label: cfg.Label, Shards: cfg.Shards}
 	union := make([]byte, vm.CovMapSize)
 	seen := make(map[crashKey]bool)
@@ -555,19 +512,19 @@ func merge(cfg Config, results []*shardResult) *Report {
 		if st == nil {
 			continue
 		}
-		rep.Execs += st.execs
-		rep.MutationExecs += st.mutationExecs
-		rep.Crashes += st.crashes
-		rep.Cycles += st.cycles
-		rep.Insts += st.insts
-		for i, v := range st.virgin {
+		rep.Execs += st.Execs
+		rep.MutationExecs += st.MutationExecs
+		rep.Crashes += st.Crashes
+		rep.Cycles += st.Cycles
+		rep.Insts += st.Insts
+		for i, v := range st.Virgin {
 			union[i] |= v
 		}
-		for _, in := range st.corpus {
+		for _, in := range st.Corpus {
 			rep.CorpusHashes = append(rep.CorpusHashes, hash64(in))
 			rep.corpus = append(rep.corpus, in)
 		}
-		for _, f := range st.findings {
+		for _, f := range st.Findings {
 			if k := f.key(); !seen[k] {
 				seen[k] = true
 				rep.Findings = append(rep.Findings, f)

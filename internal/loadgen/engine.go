@@ -99,21 +99,6 @@ type Server interface {
 // behaviour is independent of which worker executes it.
 type Boot func(ctx context.Context, shard int) (Server, error)
 
-// classTally accumulates one class's per-shard statistics.
-type classTally struct {
-	requests, crashes, detections int
-	probeReps, probeSuccesses     int
-	lat                           Hist
-}
-
-// shardStats is one shard's complete result.
-type shardStats struct {
-	requests, ok, crashes, detections int
-	makespan                          uint64
-	lat                               Hist
-	classes                           []classTally
-}
-
 // expDraw samples an exponential with the given mean from r, as virtual
 // cycles (floored; a zero draw is allowed — coincident arrivals are ordered
 // by client index).
@@ -123,10 +108,10 @@ func expDraw(r *rng.Source, mean float64) uint64 {
 }
 
 // runShard simulates one shard's clients in virtual time against srv.
-// The returned stats are valid even on error (partial, up to the failure).
-func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progressMeter) (st *shardStats, err error) {
+// The returned partial is valid even on error (up to the failure).
+func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progressMeter) (st *Partial, err error) {
 	r := rng.NewStream(cfg.Seed, uint64(shard))
-	st = &shardStats{classes: make([]classTally, len(cfg.Mix))}
+	st = &Partial{Shard: shard, Classes: make([]ClassPartial, len(cfg.Mix))}
 
 	// Weighted class picker.
 	totalWeight := 0
@@ -159,8 +144,8 @@ func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progre
 		for i, ps := range probes {
 			if ps != nil {
 				reps, succ := ps.stop()
-				st.classes[i].probeReps += reps
-				st.classes[i].probeSuccesses += succ
+				st.Classes[i].ProbeReplications += reps
+				st.Classes[i].ProbeSuccesses += succ
 			}
 		}
 	}()
@@ -203,25 +188,25 @@ func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progre
 		}
 		completion := start + out.Cycles
 		free = completion
-		if completion > st.makespan {
-			st.makespan = completion
+		if completion > st.Makespan {
+			st.Makespan = completion
 		}
 		latency := completion - arrival
 
-		st.requests++
-		cl := &st.classes[ci]
-		cl.requests++
-		st.lat.Record(latency)
-		cl.lat.Record(latency)
+		st.Requests++
+		cl := &st.Classes[ci]
+		cl.Requests++
+		st.Latency.Record(latency)
+		cl.Latency.Record(latency)
 		if out.Crashed {
-			st.crashes++
-			cl.crashes++
+			st.Crashes++
+			cl.Crashes++
 			if out.Detected {
-				st.detections++
-				cl.detections++
+				st.Detections++
+				cl.Detections++
 			}
 		} else {
-			st.ok++
+			st.OK++
 		}
 		mt.request(out)
 		return nil
@@ -337,8 +322,10 @@ func (h *eventHeap) pop() clientEvent {
 
 // Run executes the workload: cfg.Shards self-contained client shards, each
 // against its own boot'ed replica server, executed by cfg.Workers
-// goroutines and merged in shard order. For a fixed seed the Report is
-// bit-identical at any worker count.
+// goroutines. It is RunShards over the whole range followed by
+// MergePartials — the one path every workload takes, locally, in the daemon
+// and across the fabric — so for a fixed seed the Report is bit-identical
+// at any worker count and any lease split.
 //
 // On cancellation Run returns the partial report of the work done so far
 // together with ctx.Err(). Any transport/boot error aborts the run and is
@@ -348,25 +335,8 @@ func Run(ctx context.Context, cfg Config, boot Boot) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	stats := make([]*shardStats, cfg.Shards)
-	mt := newProgressMeter(cfg)
-	// Cancellation and fatal-error semantics live in workpool.Run; a shard
-	// stores its (possibly partial) stats before reporting any error, so
-	// cancelled runs still merge the work done so far.
-	poolErr := workpool.Run(ctx, cfg.Shards, cfg.Workers, func(ctx context.Context, shard int) error {
-		srv, err := boot(ctx, shard)
-		if err != nil {
-			return fmt.Errorf("loadgen: boot shard %d: %w", shard, err)
-		}
-		st, err := runShard(ctx, cfg, shard, srv, mt)
-		stats[shard] = st // partial shard results still merge
-		if err == nil {
-			mt.shardDone(&st.lat)
-		}
-		return err
-	})
-	return merge(cfg, stats), poolErr
+	parts, err := RunShards(ctx, cfg, boot, 0, cfg.Shards)
+	return merge(cfg, parts), err
 }
 
 // ClassPartial is one class's slice of a shard partial, in mix order. The
@@ -380,11 +350,9 @@ type ClassPartial struct {
 	Latency           Hist `json:"latency"`
 }
 
-// Partial is one shard's complete result in wire form — the unit a fabric
-// worker ships back. It mirrors the engine's internal shard state exactly
-// (histograms included), so MergePartials reassembles the very slot array
-// Run would have merged and the distributed report is bit-identical to the
-// local one.
+// Partial is one shard's complete result — the engine's own shard state
+// (histograms included) and the unit a fabric worker ships back, so the
+// distributed merge folds exactly what a local run folds.
 type Partial struct {
 	Shard      int            `json:"shard"`
 	Requests   int            `json:"requests"`
@@ -396,59 +364,20 @@ type Partial struct {
 	Classes    []ClassPartial `json:"classes"`
 }
 
-// partial converts a shard's internal stats to wire form.
-func (st *shardStats) partial(shard int) *Partial {
-	p := &Partial{
-		Shard:      shard,
-		Requests:   st.requests,
-		OK:         st.ok,
-		Crashes:    st.crashes,
-		Detections: st.detections,
-		Makespan:   st.makespan,
-		Latency:    st.lat,
-	}
-	for i := range st.classes {
-		c := &st.classes[i]
-		p.Classes = append(p.Classes, ClassPartial{
-			Requests:          c.requests,
-			Crashes:           c.crashes,
-			Detections:        c.detections,
-			ProbeReplications: c.probeReps,
-			ProbeSuccesses:    c.probeSuccesses,
-			Latency:           c.lat,
-		})
-	}
-	return p
+// Fits reports whether p can answer lease [lo, hi) of cfg: it is one of
+// those shards and carries one class slice per class of cfg's mix. A
+// coordinator applies it before merging a worker's partial, since
+// MergePartials accepts any shard of the workload and indexes the classes
+// by mix position.
+func (p *Partial) Fits(cfg Config, lo, hi int) bool {
+	return p != nil && p.Shard >= lo && p.Shard < hi && len(p.Classes) == len(cfg.Mix)
 }
 
-// stats converts a wire partial back to the engine's internal shard state.
-func (p *Partial) stats() *shardStats {
-	st := &shardStats{
-		requests:   p.Requests,
-		ok:         p.OK,
-		crashes:    p.Crashes,
-		detections: p.Detections,
-		makespan:   p.Makespan,
-		lat:        p.Latency,
-	}
-	for i := range p.Classes {
-		c := &p.Classes[i]
-		st.classes = append(st.classes, classTally{
-			requests:       c.Requests,
-			crashes:        c.Crashes,
-			detections:     c.Detections,
-			probeReps:      c.ProbeReplications,
-			probeSuccesses: c.ProbeSuccesses,
-			lat:            c.Latency,
-		})
-	}
-	return st
-}
-
-// RunShards executes only shards [lo, hi) of the workload and returns their
+// RunShards executes shards [lo, hi) of the workload and returns their
 // partials in shard order. cfg must be the full (ideally pre-Normalized)
 // scenario — shard indices keep their global meaning, so rng streams and
-// budget shares are identical to the single-process run.
+// budget shares are identical at any split. On error the partials hold
+// whatever ran, a failed shard's up to its failure.
 func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Partial, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -461,95 +390,95 @@ func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Parti
 	if workers > hi-lo {
 		workers = hi - lo
 	}
-	stats := make([]*shardStats, cfg.Shards)
+	slots := make([]*Partial, hi-lo)
 	mt := newProgressMeter(cfg)
+	// Cancellation and fatal-error semantics live in workpool.Run; a shard
+	// stores its (possibly partial) result before reporting any error, so
+	// cancelled runs still merge the work done so far.
 	poolErr := workpool.RunRange(ctx, lo, hi, workers, func(ctx context.Context, shard int) error {
 		srv, err := boot(ctx, shard)
 		if err != nil {
 			return fmt.Errorf("loadgen: boot shard %d: %w", shard, err)
 		}
 		st, err := runShard(ctx, cfg, shard, srv, mt)
-		stats[shard] = st
+		slots[shard-lo] = st
 		if err == nil {
-			mt.shardDone(&st.lat)
+			mt.shardDone(&st.Latency)
 		}
 		return err
 	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
 	var parts []*Partial
-	for shard := lo; shard < hi; shard++ {
-		if st := stats[shard]; st != nil {
-			parts = append(parts, st.partial(shard))
+	for _, st := range slots {
+		if st != nil {
+			parts = append(parts, st)
 		}
 	}
-	return parts, nil
+	return parts, poolErr
 }
 
-// MergePartials folds wire partials into the report Run would have produced
-// for the same cfg. Partials may arrive in any order and may repeat a shard
-// (a reassigned lease): slots are keyed by shard index, so a duplicate
-// overwrites with identical data. Missing shards merge like a cancelled
-// run's.
+// MergePartials folds partials into the workload's report. Partials may
+// arrive in any order and may repeat a shard (a reassigned lease): slots
+// are keyed by shard index, so a duplicate overwrites with identical data.
+// Missing shards merge like a cancelled run's.
 func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	stats := make([]*shardStats, cfg.Shards)
-	for _, p := range parts {
-		if p != nil && p.Shard >= 0 && p.Shard < cfg.Shards {
-			stats[p.Shard] = p.stats()
-		}
-	}
-	return merge(cfg, stats), nil
+	return merge(cfg, parts), nil
 }
 
-// merge folds per-shard stats (in shard order) into the final report.
-func merge(cfg Config, stats []*shardStats) *Report {
+// merge folds partials into the final report in shard order, keyed by
+// shard index.
+func merge(cfg Config, parts []*Partial) *Report {
+	stats := make([]*Partial, cfg.Shards)
+	for _, p := range parts {
+		if p != nil && p.Shard >= 0 && p.Shard < cfg.Shards {
+			stats[p.Shard] = p
+		}
+	}
 	rep := &Report{
 		Label:    cfg.Label,
 		Arrivals: cfg.Arrivals.String(),
 		Shards:   cfg.Shards,
 	}
 	var all Hist
-	classes := make([]classTally, len(cfg.Mix))
+	classes := make([]ClassPartial, len(cfg.Mix))
 	for _, st := range stats {
 		if st == nil {
 			continue
 		}
-		rep.Requests += st.requests
-		rep.OK += st.ok
-		rep.Crashes += st.crashes
-		rep.Detections += st.detections
-		if st.makespan > rep.DurationCycles {
-			rep.DurationCycles = st.makespan
+		rep.Requests += st.Requests
+		rep.OK += st.OK
+		rep.Crashes += st.Crashes
+		rep.Detections += st.Detections
+		if st.Makespan > rep.DurationCycles {
+			rep.DurationCycles = st.Makespan
 		}
-		all.Merge(&st.lat)
+		all.Merge(&st.Latency)
 		for i := range classes {
-			c, s := &classes[i], &st.classes[i]
-			c.requests += s.requests
-			c.crashes += s.crashes
-			c.detections += s.detections
-			c.probeReps += s.probeReps
-			c.probeSuccesses += s.probeSuccesses
-			c.lat.Merge(&s.lat)
+			c, s := &classes[i], &st.Classes[i]
+			c.Requests += s.Requests
+			c.Crashes += s.Crashes
+			c.Detections += s.Detections
+			c.ProbeReplications += s.ProbeReplications
+			c.ProbeSuccesses += s.ProbeSuccesses
+			c.Latency.Merge(&s.Latency)
 		}
 	}
 	rep.Latency = all.Summary()
 	for i, cl := range cfg.Mix {
 		c := &classes[i]
-		rep.ProbeReplications += c.probeReps
-		rep.ProbeSuccesses += c.probeSuccesses
+		rep.ProbeReplications += c.ProbeReplications
+		rep.ProbeSuccesses += c.ProbeSuccesses
 		rep.Classes = append(rep.Classes, ClassStats{
 			Name:              cl.Name,
-			Requests:          c.requests,
-			Crashes:           c.crashes,
-			Detections:        c.detections,
-			ProbeReplications: c.probeReps,
-			ProbeSuccesses:    c.probeSuccesses,
-			Latency:           c.lat.Summary(),
+			Requests:          c.Requests,
+			Crashes:           c.Crashes,
+			Detections:        c.Detections,
+			ProbeReplications: c.ProbeReplications,
+			ProbeSuccesses:    c.ProbeSuccesses,
+			Latency:           c.Latency.Summary(),
 		})
 	}
 	// Throughput sums per-shard rates (shards are independent replica
@@ -557,12 +486,12 @@ func merge(cfg Config, stats []*shardStats) *Report {
 	// where dividing the total count by the slowest shard's makespan would
 	// systematically understate it.
 	for _, st := range stats {
-		if st == nil || st.makespan == 0 {
+		if st == nil || st.Makespan == 0 {
 			continue
 		}
-		scale := 1e6 / float64(st.makespan)
-		rep.AchievedPerMcycle += float64(st.requests) * scale
-		rep.GoodputPerMcycle += float64(st.ok) * scale
+		scale := 1e6 / float64(st.Makespan)
+		rep.AchievedPerMcycle += float64(st.Requests) * scale
+		rep.GoodputPerMcycle += float64(st.OK) * scale
 	}
 	if cfg.Arrivals.Kind == ClosedLoop {
 		rep.OfferedPerMcycle = rep.AchievedPerMcycle
@@ -599,11 +528,9 @@ type SweepReport struct {
 
 // Scale returns the scenario at sweep multiplier m: the offered rate (open
 // loop) or client population (closed loop) scaled, with the "x%g" label
-// suffix. It is the single sweep-point transform — RunSweep and the
-// distributed fabric's sweep both use it, so their per-point scenarios are
-// identical by construction. Scale applies to the unnormalized base
-// scenario; normalize after scaling (shard clamps depend on the scaled
-// population).
+// suffix. It is the single sweep-point transform, applied by Sweep to the
+// unnormalized base scenario; normalize after scaling (shard clamps depend
+// on the scaled population).
 func Scale(cfg Config, m float64) Config {
 	c := cfg
 	c.Label = fmt.Sprintf("%s x%g", cfg.Label, m)
@@ -618,11 +545,12 @@ func Scale(cfg Config, m float64) Config {
 	return c
 }
 
-// RunSweep steps the scenario's offered load through the multipliers
-// (ascending; each point re-boots fresh shard servers via boot) and locates
-// the saturation knee. On error the points completed so far are returned
-// with it.
-func RunSweep(ctx context.Context, cfg Config, multipliers []float64, boot Boot) (*SweepReport, error) {
+// Sweep steps the scenario's offered load through the multipliers
+// (ascending), running each Scale'd point with point, and locates the
+// saturation knee. It is the one sweep loop: RunSweep runs points
+// in-process and the fabric leases them across workers. On error the
+// points completed so far are returned with it.
+func Sweep(ctx context.Context, cfg Config, multipliers []float64, point func(context.Context, Config) (*Report, error)) (*SweepReport, error) {
 	if len(multipliers) == 0 {
 		return nil, errors.New("loadgen: sweep needs at least one multiplier")
 	}
@@ -631,7 +559,7 @@ func RunSweep(ctx context.Context, cfg Config, multipliers []float64, boot Boot)
 		if !(m > 0) {
 			return sw, fmt.Errorf("loadgen: non-positive sweep multiplier %g", m)
 		}
-		rep, err := Run(ctx, Scale(cfg, m), boot)
+		rep, err := point(ctx, Scale(cfg, m))
 		if err != nil {
 			return sw, err
 		}
@@ -642,4 +570,12 @@ func RunSweep(ctx context.Context, cfg Config, multipliers []float64, boot Boot)
 		}
 	}
 	return sw, nil
+}
+
+// RunSweep is Sweep with every point run in-process, each re-booting fresh
+// shard servers via boot.
+func RunSweep(ctx context.Context, cfg Config, multipliers []float64, boot Boot) (*SweepReport, error) {
+	return Sweep(ctx, cfg, multipliers, func(ctx context.Context, c Config) (*Report, error) {
+		return Run(ctx, c, boot)
+	})
 }

@@ -108,10 +108,7 @@ func (m *Machine) Campaign(ctx context.Context, img *Image, cfg CampaignConfig) 
 	if err != nil {
 		return agg, err
 	}
-	if agg.Completed == 0 && agg.OracleErr != nil {
-		return agg, agg.OracleErr
-	}
-	return agg, nil
+	return agg, agg.Failed()
 }
 
 // campaignPlan resolves cfg into the engine configuration and the

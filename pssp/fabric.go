@@ -1,10 +1,10 @@
-// fabric.go is the facade's distributed seam: the plan/shard/merge triple
-// each evaluation engine exposes to internal/fabric. A coordinator resolves
-// a job once into its engine plan, workers execute shard subranges of that
-// plan via the *Shards methods (reusing the exact runner/boot closures the
-// single-process paths use), and the coordinator folds the returned wire
-// partials with the Merge* functions — the same fold the local engines run,
-// so distributed reports are bit-identical to local ones by construction.
+// fabric.go is the facade's shard seam: the plan/shard/merge triple every
+// evaluation run goes through. Campaign, LoadTest and Fuzz run the whole
+// range [0,n) in-process (the engines' Run is RunShards plus the merge); a
+// fabric worker runs a lease's subrange via the *Shards methods, with the
+// same runner/boot closures; and the coordinator folds the returned wire
+// partials with the Merge* functions — the same fold, so distributed
+// reports are bit-identical to local ones by construction.
 package pssp
 
 import (
@@ -13,6 +13,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fuzz"
 	"repro/internal/loadgen"
+	"repro/internal/rng"
 )
 
 // CampaignPlan is a campaign's resolved engine configuration; see
@@ -46,11 +47,7 @@ type FuzzPlan = fuzz.Config
 type FuzzPartial = fuzz.Partial
 
 // FuzzStallSummary reports a continuous (until-stall) fuzzing run's
-// convergence: psspfuzz -until-stall locally, Coordinator.FuzzUntilStall
-// distributed. Both loops share the semantics — round r>0 re-derives its
-// mutation seed from (seed, r), seeds itself with everything discovered so
-// far, and stops once the frontier hash is unchanged for StallRounds
-// consecutive rounds — so their reports stay byte-comparable.
+// convergence; see FuzzUntilStall.
 type FuzzStallSummary struct {
 	// Rounds is the number of rounds executed; StallRounds the configured
 	// consecutive-unchanged-frontier stop threshold.
@@ -143,4 +140,69 @@ func (m *Machine) FuzzShards(ctx context.Context, img *Image, cfg FuzzConfig, lo
 // fuzz.MergePartials).
 func MergeFuzzPartials(plan FuzzPlan, parts []*FuzzPartial) (*FuzzReport, error) {
 	return fuzz.MergePartials(plan, parts)
+}
+
+// FuzzRound runs one round of a continuous fuzzing run under the round's
+// mutation seed, seed corpus and base frontier.
+type FuzzRound func(ctx context.Context, seed uint64, seeds [][]byte, baseVirgin []byte) (*FuzzReport, error)
+
+// FuzzUntilStall is the one continuous-fuzzing loop — psspfuzz
+// -until-stall runs it with in-process rounds, the fabric coordinator with
+// leased ones — so both emit byte-comparable reports. It runs rounds until
+// the frontier hash is unchanged for stall consecutive rounds (stall <= 0
+// means 1). Round r>0 re-derives its mutation seed as rng.Mix(seed, r) and
+// seeds itself with baseSeeds plus every input discovered so far, with the
+// accumulated frontier as its base virgin map. When load is non-nil the
+// discoveries live in a shared persistent corpus that load re-reads before
+// every round (so concurrent runs sharing it contribute too, and the round
+// itself must fold its discoveries back); otherwise they carry over in
+// memory. logf receives one line per round. The frontier is monotone and
+// bounded, so the loop terminates. The returned report is the final
+// round's: its frontier and corpus are cumulative by construction.
+func FuzzUntilStall(ctx context.Context, seed uint64, baseSeeds [][]byte, stall int,
+	load func() (saved [][]byte, frontier []byte, err error), round FuzzRound,
+	logf func(format string, args ...any)) (*FuzzReport, *FuzzStallSummary, error) {
+	if stall <= 0 {
+		stall = 1
+	}
+	seeds := baseSeeds
+	var baseVirgin []byte
+	sum := &FuzzStallSummary{StallRounds: stall}
+	var rep *FuzzReport
+	same := 0
+	for {
+		rseed := seed
+		if sum.Rounds > 0 {
+			rseed = rng.Mix(seed, uint64(sum.Rounds))
+		}
+		if load != nil {
+			saved, frontier, err := load()
+			if err != nil {
+				return rep, sum, err
+			}
+			seeds = append(append([][]byte{}, baseSeeds...), saved...)
+			baseVirgin = frontier
+		}
+		r, err := round(ctx, rseed, seeds, baseVirgin)
+		if err != nil {
+			return rep, sum, err
+		}
+		if rep != nil && r.CoverageHash == rep.CoverageHash {
+			same++
+		} else {
+			same = 0
+		}
+		rep = r
+		sum.Rounds++
+		sum.TotalExecs += r.Execs
+		if load == nil {
+			seeds = append(append([][]byte{}, baseSeeds...), r.CorpusInputs()...)
+			baseVirgin = r.Frontier()
+		}
+		logf("round %d: %d edges, frontier %016x (%d/%d stalled)",
+			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
+		if same >= stall {
+			return rep, sum, nil
+		}
+	}
 }

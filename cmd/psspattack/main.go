@@ -67,51 +67,35 @@ func main() {
 		fail(fmt.Errorf("-store applies to local runs; a psspd daemon manages its own store (psspd -store)"))
 	}
 
-	// One scenario for both routes: a remote run ships these params, a local
-	// run normalizes and maps them exactly as the daemon does, on a machine
-	// built like the daemon's pooled one (seed and scheme only).
+	// One scenario for both routes: a remote run ships these params to a
+	// daemon job, a local run hands them to the same run function on an
+	// in-process executor built like the daemon's pooled machine.
 	params := daemon.AttackParams{
 		Target: *target, Scheme: s.String(), Strategy: *strategy,
 		Budget: *budget, Repeats: *repeats, Workers: *workers, Seed: *seed,
 	}
+	if !*jsonOut {
+		where := ""
+		if *remote != "" {
+			where = " on " + *remote
+		}
+		fmt.Printf("attacking %s (scheme %s) with %s%s: %d replication(s), budget %d trials each...\n",
+			*target, s, *strategy, where, *repeats, *budget)
+	}
 	var rep daemon.AttackReport
 	if *remote != "" {
-		c, err := client.Dial(*remote)
-		if err != nil {
-			fail(err)
-		}
-		defer c.Close()
-		if !*jsonOut {
-			fmt.Printf("attacking %s (scheme %s) with %s on %s: %d replication(s), budget %d trials each...\n",
-				*target, s, *strategy, *remote, *repeats, *budget)
-		}
-		if err := c.Call(context.Background(), "attack", params, &rep, client.WithTenant(*tenant)); err != nil {
+		if err := client.Run(context.Background(), *remote, "attack", params, &rep, client.WithTenant(*tenant)); err != nil {
 			fail(err)
 		}
 	} else {
 		params = daemon.NormalizeAttackParams(params)
-		opts := []pssp.Option{pssp.WithSeed(params.Seed), pssp.WithScheme(s)}
-		if *storeDir != "" {
-			st, err := pssp.OpenStore(*storeDir)
-			if err != nil {
-				fail(err)
-			}
-			opts = append(opts, pssp.WithStore(st))
-		}
-		m := pssp.NewMachine(opts...)
-		img, err := m.Pipeline().CompileApp(*target).Image()
+		x, err := daemon.NewLocal(params.Target, s, params.Seed, *storeDir)
 		if err != nil {
 			fail(err)
 		}
-		if !*jsonOut {
-			fmt.Printf("attacking %s (scheme %s) with %s: %d replication(s), budget %d trials each...\n",
-				*target, s, *strategy, *repeats, *budget)
-		}
-		res, err := m.Campaign(context.Background(), img, daemon.CampaignConfig(params, params.Seed))
-		if err != nil {
+		if rep, err = daemon.RunAttack(context.Background(), params, x); err != nil {
 			fail(err)
 		}
-		rep = daemon.BuildAttackReport(params.Target, s, params.Seed, params.Budget, params.Repeats, params.Workers, res)
 	}
 
 	if *jsonOut {

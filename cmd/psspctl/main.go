@@ -120,7 +120,7 @@ func main() {
 		dict     = flag.String("dict", "", "fuzz: mutation dictionary spec")
 		execs    = flag.Int("execs", 4096, "fuzz: total mutation budget across shards")
 		maxIn    = flag.Int("max-input", 1024, "fuzz: generated input length cap in bytes")
-		corpus   = flag.String("corpus", "", "fuzz: shared persistent corpus directory (workers fold discoveries in; rounds reseed from it)")
+		corpus   = flag.String("corpus", "", "fuzz: persistent corpus directory on the coordinator (seeds the run; merged discoveries are folded back)")
 		stall    = flag.Int("until-stall", 0, "fuzz: continuous mode — rounds until the coverage frontier is unchanged this many consecutive rounds")
 	)
 	flag.Parse()
@@ -156,16 +156,12 @@ func main() {
 			if err != nil {
 				return p, err
 			}
-			classes := make([]daemon.LoadClass, len(mix))
-			for i, rc := range mix {
-				classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
-			}
 			multipliers, err := cliutil.ParseSweep(*sweep)
 			if err != nil {
 				return p, err
 			}
 			p.Load = &daemon.LoadParams{
-				App: *app, Scheme: *scheme, Mix: classes, Arrivals: *arrivals,
+				App: *app, Scheme: *scheme, Mix: mix, Arrivals: *arrivals,
 				Rate: *rate, Clients: *clients, ThinkCycles: *think,
 				Requests: *requests, DurationCycles: *duration,
 				Shards: *shards, Workers: *jobWorkers, Budget: *probes,
@@ -313,7 +309,7 @@ func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitP
 		return cliutil.EmitJSON(os.Stdout, res)
 	}
 	switch rep := res.(type) {
-	case *daemon.AttackReport:
+	case daemon.AttackReport:
 		fmt.Printf("campaign %s: %d/%d successes (rate %.2f), %d oracle calls, detection rate %.3f\n",
 			rep.Target, rep.Successes, rep.Completed, rep.SuccessRate, rep.OracleCalls, rep.DetectRate)
 	case *pssp.LoadSweepReport:

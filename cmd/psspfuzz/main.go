@@ -43,7 +43,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
-	"repro/internal/store"
 	"repro/pssp"
 )
 
@@ -97,16 +96,16 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *duration)
 		defer cancel()
 	}
-	// A time-boxed run prints a live ticker on stderr: the engine's Progress
-	// stream, throttled to ~1 Hz here (callbacks are serialized by the
-	// engine, so the plain `last` is race-free). Exec-bounded runs stay
+	// A time-boxed run prints a live ticker on stderr: the run's progress
+	// stream, local or remote, throttled to ~1 Hz here (callbacks are
+	// serialized, so the plain `last` is race-free). Exec-bounded runs stay
 	// silent — their report is the whole story.
-	var progress func(pssp.FuzzProgress)
+	var events func(daemon.ProgressEvent)
 	if *duration > 0 {
 		var last time.Time
-		progress = func(p pssp.FuzzProgress) {
-			now := time.Now()
-			if now.Sub(last) < time.Second {
+		events = func(ev daemon.ProgressEvent) {
+			p, now := ev.Fuzz, time.Now()
+			if p == nil || now.Sub(last) < time.Second {
 				return
 			}
 			last = now
@@ -115,156 +114,59 @@ func main() {
 		}
 	}
 
-	// One scenario for every route: a remote run ships these params, a
-	// local one maps them with the daemon's own params→config mapping.
-	params := daemon.FuzzParams{
+	// One scenario for every route: a remote run ships these params to a
+	// daemon job, a local run hands them to the same run function on an
+	// in-process executor built like the daemon's pooled machine.
+	params := daemon.NormalizeFuzzParams(daemon.FuzzParams{
 		App: *app, Scheme: s.String(), Seeds: seeds, Dict: tokens,
 		Execs: *execs, Shards: *shards, Workers: *workers,
 		MaxInput: *maxIn, Seed: *seed,
-	}
-	var rep *pssp.FuzzReport
-	var stallSum *pssp.FuzzStallSummary
-	timedOut := false
+	})
+	var res daemon.FuzzResult
 	if *remote != "" {
-		c, err := client.Dial(*remote)
-		if err != nil {
+		if err := client.Run(ctx, *remote, "fuzz", params, &res, client.WithTenant(*tenant), client.WithEvents(events)); err != nil {
 			fail(err)
 		}
-		defer c.Close()
-		opts := []client.Option{client.WithTenant(*tenant)}
-		if progress != nil {
-			opts = append(opts, client.WithEvents(func(ev daemon.ProgressEvent) {
-				if ev.Fuzz != nil {
-					progress(*ev.Fuzz)
-				}
-			}))
-		}
-		var fr daemon.FuzzResult
-		if err := c.Call(ctx, "fuzz", params, &fr, opts...); err != nil {
-			fail(err)
-		}
-		rep = fr.FuzzReport
-		// A canceled partial under -duration is the requested time box.
-		timedOut = fr.TimedOut || (*duration > 0 && fr.Canceled)
 	} else {
-		machineOpts := []pssp.Option{pssp.WithSeed(*seed), pssp.WithScheme(s)}
-		var st *pssp.Store
-		if *storeDir != "" {
-			if st, err = pssp.OpenStore(*storeDir); err != nil {
-				fail(err)
-			}
-			machineOpts = append(machineOpts, pssp.WithStore(st))
-		}
-		var corp *store.Corpus
-		var baseVirgin []byte
-		if *corpus != "" {
-			if corp, err = store.OpenCorpus(*corpus); err != nil {
-				fail(err)
-			}
-			saved, frontier, err := corp.Load()
-			if err != nil {
-				fail(err)
-			}
-			// Saved inputs ride along as extra seeds (sorted by content hash,
-			// so the scenario is a function of the corpus set alone), and the
-			// saved frontier marks their coverage as already charted.
-			seeds = append(seeds, saved...)
-			baseVirgin = frontier
-			resumed := "fresh"
-			if frontier != nil {
-				resumed = "resumed"
-			}
-			fmt.Fprintf(os.Stderr, "psspfuzz: corpus %s: %d saved input(s), frontier %s\n",
-				*corpus, len(saved), resumed)
-		}
-		m := pssp.NewMachine(machineOpts...)
-		img, err := m.Pipeline().CompileApp(*app).Image()
+		x, err := daemon.NewLocal(params.App, s, params.Seed, *storeDir)
 		if err != nil {
 			fail(err)
 		}
-		if *stall > 0 {
-			// Continuous mode reseeds itself each round, so the base seed
-			// corpus (pre-corpus-append) goes in raw; the loop reloads the
-			// corpus between rounds and each round folds its discoveries in.
-			var load func() ([][]byte, []byte, error)
-			if corp != nil {
-				load = corp.Load
-			}
-			round := func(ctx context.Context, seed uint64, seeds [][]byte, baseVirgin []byte) (*pssp.FuzzReport, error) {
-				rp := params
-				rp.Seeds = seeds
-				r, err := m.Fuzz(ctx, img, daemon.FuzzConfig(rp, seed, baseVirgin))
-				if err == nil && corp != nil {
-					if _, err = corp.Add(r.CorpusInputs()); err == nil {
-						err = corp.SaveFrontier(r.Frontier())
-					}
-				}
-				return r, err
-			}
-			rep, stallSum, err = pssp.FuzzUntilStall(ctx, *seed, params.Seeds, *stall, load, round,
-				func(format string, args ...any) { fmt.Fprintf(os.Stderr, "psspfuzz: "+format+"\n", args...) })
-			if err != nil {
-				fail(err)
-			}
-			if st != nil {
-				ss := st.Stats()
-				fmt.Fprintf(os.Stderr, "psspfuzz: store: hits=%d misses=%d\n", ss.Hits, ss.Misses)
-			}
-			emit(*jsonOut, rep, s, 0, false, stallSum, fail)
-			return
-		}
-		params.Seeds = seeds
-		cfg := daemon.FuzzConfig(params, *seed, baseVirgin)
-		cfg.Progress = progress
-		rep, err = m.Fuzz(ctx, img, cfg)
-		if rep != nil && corp != nil {
-			// Persist even a partial run's discoveries: content-hash dedup
-			// makes re-adding idempotent and the frontier only accumulates.
-			added, aerr := corp.Add(rep.CorpusInputs())
-			if aerr == nil {
-				aerr = corp.SaveFrontier(rep.Frontier())
-			}
-			if aerr != nil {
-				fail(aerr)
-			}
-			fmt.Fprintf(os.Stderr, "psspfuzz: corpus %s: +%d new input(s), frontier merged\n", *corpus, added)
-		}
-		if st != nil {
-			ss := st.Stats()
+		x.Progress = events
+		res, err = daemon.RunFuzz(ctx, params, *corpus, *stall, x,
+			func(format string, args ...any) { fmt.Fprintf(os.Stderr, "psspfuzz: "+format+"\n", args...) })
+		if x.Store != nil {
+			ss := x.Store.Stats()
 			fmt.Fprintf(os.Stderr, "psspfuzz: store: hits=%d misses=%d\n", ss.Hits, ss.Misses)
 		}
 		if err != nil {
-			// A -duration deadline is the requested time box, not a failure:
-			// report the partial result like a stopped fuzzing session. The
-			// check is on the returned error, not ctx.Err() — a genuine fatal
-			// error that lands after the deadline must still fail loudly.
-			if *duration > 0 && errors.Is(err, context.DeadlineExceeded) && rep != nil {
-				timedOut = true
-			} else {
-				fail(err)
-			}
+			fail(err)
 		}
 	}
-
-	emit(*jsonOut, rep, s, *duration, timedOut, stallSum, fail)
+	// A canceled partial under -duration is the requested time box, not a
+	// failure: report it like a stopped fuzzing session, flagged so scripts
+	// cannot mistake a truncated frontier for a full one.
+	if *duration > 0 && res.Canceled {
+		res.TimedOut, res.Canceled = true, false
+	}
+	emit(*jsonOut, res, s, *duration)
 }
 
 // emit renders the report — the one output path of every psspfuzz mode, so
 // local, remote, single-run, and continuous runs stay byte-comparable.
-func emit(jsonOut bool, rep *pssp.FuzzReport, s pssp.Scheme, duration time.Duration, timedOut bool, stallSum *pssp.FuzzStallSummary, fail func(error)) {
+func emit(jsonOut bool, res daemon.FuzzResult, s pssp.Scheme, duration time.Duration) {
 	if jsonOut {
 		// A completed run keeps the bare FuzzReport shape; a time-boxed
-		// partial adds "timed_out": true so scripts cannot mistake a
-		// truncated frontier for a full one, and a continuous run adds its
+		// partial adds "timed_out": true, and a continuous run adds its
 		// "until_stall" convergence summary.
-		out := daemon.FuzzResult{FuzzReport: rep, TimedOut: timedOut, UntilStall: stallSum}
-		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
-			fail(err)
+		if err := cliutil.EmitJSON(os.Stdout, res); err != nil {
+			cliutil.Fail("psspfuzz", err)
 		}
 		return
 	}
+	rep, stallSum := res.FuzzReport, res.UntilStall
 	fmt.Printf("%s (scheme %s): %d execs over %d shard(s)", rep.Label, s, rep.Execs, rep.Shards)
-	if timedOut {
+	if res.TimedOut {
 		fmt.Printf(" [time box %v hit]", duration)
 	}
 	fmt.Println()

@@ -232,9 +232,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if _, err := daemon.ParseArrivals(*arrivals); err != nil {
-		fail(err)
-	}
 	multipliers, err := cliutil.ParseSweep(*sweep)
 	if err != nil {
 		fail(err)
@@ -253,14 +250,11 @@ func main() {
 		return
 	}
 
-	// One scenario for both routes: a remote run ships these params, a local
-	// run maps them with the daemon's own params→config mapping.
-	classes := make([]daemon.LoadClass, len(mix))
-	for i, rc := range mix {
-		classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
-	}
+	// One scenario for both routes: a remote run ships these params to a
+	// daemon job, a local run hands them to the same run function on an
+	// in-process executor built like the daemon's pooled machine.
 	params := daemon.LoadParams{
-		App: *app, Scheme: s.String(), Mix: classes, Arrivals: *arrivals,
+		App: *app, Scheme: s.String(), Mix: mix, Arrivals: *arrivals,
 		Rate: *rate, Clients: *clients, ThinkCycles: *think,
 		Requests: *requests, DurationCycles: *duration,
 		Shards: *shards, Workers: *workers, Budget: *budget,
@@ -268,56 +262,26 @@ func main() {
 	}
 	var res daemon.LoadResult
 	if *remote != "" {
-		c, err := client.Dial(*remote)
-		if err != nil {
-			fail(err)
-		}
-		defer c.Close()
-		if err := c.Call(context.Background(), "loadtest", params, &res, client.WithTenant(*tenant)); err != nil {
+		if err := client.Run(context.Background(), *remote, "loadtest", params, &res, client.WithTenant(*tenant)); err != nil {
 			fail(err)
 		}
 		if res.Canceled {
 			fmt.Fprintln(os.Stderr, "psspload: job canceled; partial report follows")
 		}
 	} else {
-		opts := []pssp.Option{
-			pssp.WithSeed(*seed),
-			pssp.WithScheme(s),
-			pssp.WithAttackBudget(*budget),
-		}
-		if *storeDir != "" {
-			st, err := pssp.OpenStore(*storeDir)
-			if err != nil {
-				fail(err)
-			}
-			opts = append(opts, pssp.WithStore(st))
-		}
-		m := pssp.NewMachine(opts...)
-		ctx := context.Background()
-		img, err := m.Pipeline().CompileApp(*app).Image()
+		params = daemon.NormalizeLoadParams(params)
+		x, err := daemon.NewLocal(params.App, s, params.Seed, *storeDir)
 		if err != nil {
 			fail(err)
 		}
-		cfg, err := daemon.LoadWorkload(params, *app, *seed)
-		if err != nil {
-			fail(err)
-		}
-		if len(multipliers) > 0 {
-			res.Sweep, err = m.LoadSweep(ctx, img, cfg, multipliers)
-		} else {
-			res.Report, err = m.LoadTest(ctx, img, cfg)
-		}
-		if err != nil {
+		if res, err = daemon.RunLoad(context.Background(), params, x); err != nil {
 			fail(err)
 		}
 	}
 
 	// The inner report is emitted bare, so remote -json output matches the
 	// local run byte for byte at a fixed seed.
-	var out any = res.Report
-	if res.Sweep != nil {
-		out = res.Sweep
-	}
+	out := res.Bare()
 	if *jsonOut {
 		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
 			fail(err)

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/attack"
-	"repro/pssp"
+	"repro/internal/daemon"
 )
 
 // The weighted-spec grammar shared by the traffic-shaping CLI flags:
@@ -86,21 +86,22 @@ func allDigits(s string) bool {
 	return true
 }
 
-// ParseMix parses psspload's -mix grammar into facade request classes: each
+// ParseMix parses psspload's -mix grammar into the wire load classes a
+// loadtest job ships (see daemon.LoadWorkload for their meaning): each
 // item is either "benign" (the app's built-in request payload) or
 // "probe=NAME" with NAME a registered attack strategy. Strategy names are
 // validated here, at parse time, so a typo fails with the registry's
 // name listing instead of surfacing later from the load engine.
-func ParseMix(spec string) ([]pssp.RequestClass, error) {
+func ParseMix(spec string) ([]daemon.LoadClass, error) {
 	items, err := ParseWeighted(spec)
 	if err != nil {
 		return nil, fmt.Errorf("mix %s", err)
 	}
-	var mix []pssp.RequestClass
+	var mix []daemon.LoadClass
 	for _, it := range items {
 		switch {
 		case it.Name == "benign":
-			mix = append(mix, pssp.RequestClass{Name: "benign", Weight: it.Weight})
+			mix = append(mix, daemon.LoadClass{Name: "benign", Weight: it.Weight})
 		case strings.HasPrefix(it.Name, "probe="):
 			strat := strings.TrimPrefix(it.Name, "probe=")
 			if strat == "" {
@@ -109,7 +110,7 @@ func ParseMix(spec string) ([]pssp.RequestClass, error) {
 			if _, err := attack.StrategyByName(strat); err != nil {
 				return nil, fmt.Errorf("mix item %q: %w", it.Name, err)
 			}
-			mix = append(mix, pssp.RequestClass{Weight: it.Weight, Probe: strat})
+			mix = append(mix, daemon.LoadClass{Weight: it.Weight, Probe: strat})
 		default:
 			return nil, fmt.Errorf("mix item %q: class must be \"benign\" or \"probe=STRATEGY\"", it.Name)
 		}

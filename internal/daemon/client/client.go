@@ -137,6 +137,17 @@ func NewConn(conn net.Conn) *Client {
 	return c
 }
 
+// Run dials addr, makes one Call and closes the connection — the -remote
+// route of psspattack, psspload and psspfuzz.
+func Run(ctx context.Context, addr, method string, params, result any, opts ...Option) error {
+	c, err := Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return c.Call(ctx, method, params, result, opts...)
+}
+
 // Close tears the connection down; in-flight calls fail.
 func (c *Client) Close() error {
 	err := c.conn.Close()

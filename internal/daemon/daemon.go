@@ -390,19 +390,26 @@ func (d *Daemon) Do(ctx context.Context, tenantName, method string, params any, 
 		}
 		raw = b
 	}
-	t := d.tenantFor(tenantName)
-	run, err := d.jobFor(Request{Method: method, Params: raw}, t)
+	return d.execute(ctx, Request{Method: method, Tenant: tenantName, Params: raw}, callbackEvents(progress))
+}
+
+// execute runs one job request end to end — validation, admission,
+// execution with progress on ev, slot release with cost accounting — for
+// the wire (dispatch) and in-process (Do) paths alike.
+func (d *Daemon) execute(ctx context.Context, req Request, ev *eventStream) (any, error) {
+	t := d.tenantFor(req.Tenant)
+	run, err := d.jobFor(req, t)
 	if err != nil {
 		return nil, err
 	}
-	ctx, tr := d.beginTrace(ctx, method)
+	ctx, tr := d.beginTrace(ctx, req.Method)
 	if err := d.admit(ctx, t); err != nil {
 		tr.Event("rejected", 0, err.Error())
 		d.countFinish(err)
 		return nil, err
 	}
 	tr.Event("admitted", 0, "")
-	result, cost, err := run(ctx, callbackEvents(progress))
+	result, cost, err := run(ctx, ev)
 	d.release(t, cost)
 	d.countFinish(err)
 	tr.Event("finish", cost, finishDetail(err))
@@ -577,29 +584,9 @@ func unmarshalParams(raw json.RawMessage, v any) error {
 	return nil
 }
 
-// dispatch runs one job request end to end: admission, execution with
-// progress streaming, the terminal response, slot release with cost
-// accounting.
+// dispatch runs one job request and writes its terminal response.
 func (d *Daemon) dispatch(ctx context.Context, w *connWriter, req Request) {
-	t := d.tenantFor(req.Tenant)
-
-	run, err := d.jobFor(req, t)
-	if err != nil {
-		w.fail(req.ID, err)
-		return
-	}
-	ctx, tr := d.beginTrace(ctx, req.Method)
-	if err := d.admit(ctx, t); err != nil {
-		tr.Event("rejected", 0, err.Error())
-		d.countFinish(err)
-		w.fail(req.ID, err)
-		return
-	}
-	tr.Event("admitted", 0, "")
-	result, cost, err := run(ctx, newEventStream(w, req.ID))
-	d.release(t, cost)
-	d.countFinish(err)
-	tr.Event("finish", cost, finishDetail(err))
+	result, err := d.execute(ctx, req, newEventStream(w, req.ID))
 	if err != nil {
 		w.fail(req.ID, err)
 		return

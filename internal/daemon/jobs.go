@@ -31,44 +31,12 @@ func (d *Daemon) jobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, err
 		}
 		return d.bootJob(p, t)
-	// A whole job decodes its kind's params only; the lease fields of the
-	// shard params stay zero (see workload.go).
-	case "attack":
-		var p CampaignShardParams
-		if err := unmarshalParams(req.Params, &p.AttackParams); err != nil {
-			return nil, err
-		}
-		return d.campaignJob(p, t, true)
-	case "loadtest":
-		var p LoadShardParams
-		if err := unmarshalParams(req.Params, &p.LoadParams); err != nil {
-			return nil, err
-		}
-		return d.loadJob(p, t, true)
-	case "fuzz":
-		var p FuzzShardParams
-		if err := unmarshalParams(req.Params, &p.FuzzParams); err != nil {
-			return nil, err
-		}
-		return d.fuzzJob(p, t, true)
-	case "campaignshard":
-		var p CampaignShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return d.campaignJob(p, t, false)
-	case "loadshard":
-		var p LoadShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return d.loadJob(p, t, false)
-	case "fuzzshard":
-		var p FuzzShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return d.fuzzJob(p, t, false)
+	case "attack", "campaignshard":
+		return d.campaignJob(req.Params, t, req.Method == "attack")
+	case "loadtest", "loadshard":
+		return d.loadJob(req.Params, t, req.Method == "loadtest")
+	case "fuzz", "fuzzshard":
+		return d.fuzzJob(req.Params, t, req.Method == "fuzz")
 	default:
 		return nil, badRequest("unknown method %q", req.Method)
 	}

@@ -111,17 +111,6 @@ func LoadWorkload(p LoadParams, label string, seed uint64) (pssp.WorkloadConfig,
 	}, nil
 }
 
-// PointParams returns the lease params of one sweep point: p with the
-// Scale'd point plan's label and arrival knobs, which LoadWorkload resolves
-// back into exactly that plan.
-func PointParams(p LoadParams, point pssp.LoadPlan) LoadShardParams {
-	sp := LoadShardParams{LoadParams: p, Label: point.Label}
-	sp.Sweep = nil
-	sp.Rate = point.Arrivals.RatePerMcycle
-	sp.Clients = point.Arrivals.Clients
-	return sp
-}
-
 // CampaignConfig maps normalized attack params onto the facade campaign
 // configuration under seed — the single params→CampaignConfig mapping.
 // Progress is the caller's to attach.

@@ -74,11 +74,13 @@ func newPool(capacity int, engine pssp.Engine, store *pssp.Store) *pool {
 	}
 }
 
-// machine builds a machine wired to the pool's engine and artifact store.
-func (p *pool) machine(opts ...pssp.Option) *pssp.Machine {
-	opts = append(opts, pssp.WithEngine(p.engine))
-	if p.store != nil {
-		opts = append(opts, pssp.WithStore(p.store))
+// newMachine builds a machine under (scheme, seed) on engine, compiling
+// through the artifact store st when non-nil: the one machine builder of
+// the pool's entries and of the local executor (NewLocal).
+func newMachine(s pssp.Scheme, seed uint64, engine pssp.Engine, st *pssp.Store) *pssp.Machine {
+	opts := []pssp.Option{pssp.WithSeed(seed), pssp.WithScheme(s), pssp.WithEngine(engine)}
+	if st != nil {
+		opts = append(opts, pssp.WithStore(st))
 	}
 	return pssp.NewMachine(opts...)
 }
@@ -107,7 +109,8 @@ func (p *pool) image(ctx context.Context, key imageKey) (*pssp.Image, bool, erro
 	if p.store != nil && tr != nil {
 		before = p.store.Stats()
 	}
-	m := p.machine(pssp.WithScheme(key.scheme))
+	// Compilation is seed-independent; 1 is the machine default.
+	m := newMachine(key.scheme, 1, p.engine, p.store)
 	img, err := m.Pipeline().CompileApp(key.app).Image()
 	if err != nil {
 		return nil, false, err
@@ -138,7 +141,7 @@ func (p *pool) build(ctx context.Context, key poolKey) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := p.machine(pssp.WithSeed(key.seed), pssp.WithScheme(key.scheme))
+	m := newMachine(key.scheme, key.seed, p.engine, p.store)
 	srv, err := m.Serve(ctx, img)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: booting %s/%s seed %d: %w", key.app, key.scheme, key.seed, err)

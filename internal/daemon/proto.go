@@ -190,24 +190,19 @@ type LoadShardResult struct {
 // FuzzShardParams run fuzzing shards [Lo, Hi) of the campaign the embedded
 // FuzzParams describe. Seed must be explicit and non-zero. BaseVirgin, when
 // set, seeds every shard's coverage frontier with the coordinator's merged
-// frontier (the distributed frontier-sync path). CorpusDir, when set, names
-// a shared persistent corpus the worker flock-merges its findings into.
+// frontier (the distributed frontier-sync path).
 type FuzzShardParams struct {
 	FuzzParams
 	Label      string `json:"label,omitempty"`
 	Lo         int    `json:"lo"`
 	Hi         int    `json:"hi"`
 	BaseVirgin []byte `json:"base_virgin,omitempty"`
-	CorpusDir  string `json:"corpus_dir,omitempty"`
 }
 
 // FuzzShardResult carries the shard range's wire partials back to the
 // coordinator for ordered merging.
 type FuzzShardResult struct {
 	Partials []*pssp.FuzzPartial `json:"partials"`
-	// CorpusAdded counts inputs newly written to the shared corpus
-	// (CorpusDir set only).
-	CorpusAdded int `json:"corpus_added,omitempty"`
 }
 
 // CompileParams name an image to compile into the daemon's cache.
@@ -351,7 +346,19 @@ type FuzzResult struct {
 	// Canceled marks a report truncated by job cancellation.
 	Canceled bool `json:"canceled,omitempty"`
 	// UntilStall is a continuous run's convergence summary (-until-stall).
-	UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
+	UntilStall *FuzzStallSummary `json:"until_stall,omitempty"`
+}
+
+// FuzzStallSummary reports a continuous (until-stall) fuzzing run's
+// convergence.
+type FuzzStallSummary struct {
+	// Rounds is the number of rounds executed; StallRounds the configured
+	// consecutive-unchanged-frontier stop threshold.
+	Rounds      int `json:"rounds"`
+	StallRounds int `json:"stall_rounds"`
+	// TotalExecs sums executions across rounds (the final report's Execs
+	// covers only the last round).
+	TotalExecs int `json:"total_execs"`
 }
 
 // LoadResult is the loadtest job's result: the report (or sweep report),
@@ -361,6 +368,15 @@ type LoadResult struct {
 	Sweep  *pssp.LoadSweepReport `json:"sweep,omitempty"`
 	// Canceled marks a report truncated by job cancellation.
 	Canceled bool `json:"canceled,omitempty"`
+}
+
+// Bare returns the inner report — the sweep or the single workload's — in
+// the shape psspload -json and psspctl emit.
+func (r LoadResult) Bare() any {
+	if r.Sweep != nil {
+		return r.Sweep
+	}
+	return r.Report
 }
 
 // Stats is the daemon's observability snapshot.

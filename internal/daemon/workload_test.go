@@ -2,6 +2,8 @@ package daemon
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -50,5 +52,25 @@ func TestTenantChargeSameWholeOrLeased(t *testing.T) {
 				t.Errorf("cycles_used: whole job %d, shard jobs %d", used["whole"], used["leased"])
 			}
 		})
+	}
+}
+
+// TestFuzzShardWritesNoClientPath pins that a fuzzshard lease never writes
+// to a client-named path: a persistent corpus is folded only where the
+// partials merge, so a worker ignores a corpus_dir field instead of
+// creating the directory and writing inputs into it.
+func TestFuzzShardWritesNoClientPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "corpus")
+	d := New(Config{})
+	defer d.Shutdown(context.Background())
+	lease := map[string]any{
+		"app": "nginx-vuln", "scheme": "ssp", "execs": 64, "shards": 2, "seed": 5,
+		"lo": 0, "hi": 2, "corpus_dir": dir,
+	}
+	if _, err := d.Do(context.Background(), "t", "fuzzshard", lease, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("fuzzshard lease touched the client-named path %s (stat: %v)", dir, err)
 	}
 }

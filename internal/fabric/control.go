@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
+	"repro/pssp"
 )
 
 // The coordinator's control plane speaks the daemon's line protocol
@@ -306,38 +307,59 @@ func (c *Coordinator) jobStatuses(id uint64) []JobStatus {
 }
 
 // Job validates p and returns the run that executes it to its report —
-// the value psspctl's one-shot mode emits and the control plane stores for
+// the kind's run function on the lease executor. Its result is the value
+// psspctl's one-shot mode emits and the control plane stores for
 // -aggregate, so the two are byte-identical by construction.
 func (c *Coordinator) Job(p SubmitParams) (func(ctx context.Context) (any, error), error) {
+	var (
+		app, scheme string
+		seed        uint64
+		run         func(context.Context, daemon.Executor) (any, error)
+	)
 	switch {
 	case p.Kind == "campaign" && p.Attack != nil:
-		a := *p.Attack
-		return func(ctx context.Context) (any, error) { return c.Campaign(ctx, a) }, nil
-	case p.Kind == "loadtest" && p.Load != nil && len(p.Load.Sweep) > 0:
-		l := *p.Load
-		return func(ctx context.Context) (any, error) { return c.LoadSweep(ctx, l) }, nil
+		a := daemon.NormalizeAttackParams(*p.Attack)
+		app, scheme, seed = a.Target, a.Scheme, a.Seed
+		run = func(ctx context.Context, x daemon.Executor) (any, error) { return daemon.RunAttack(ctx, a, x) }
 	case p.Kind == "loadtest" && p.Load != nil:
-		l := *p.Load
-		return func(ctx context.Context) (any, error) { return c.LoadTest(ctx, l) }, nil
+		l := daemon.NormalizeLoadParams(*p.Load)
+		app, scheme, seed = l.App, l.Scheme, l.Seed
+		run = func(ctx context.Context, x daemon.Executor) (any, error) {
+			res, err := daemon.RunLoad(ctx, l, x)
+			if err == nil && res.Canceled {
+				// A fabric job has no partial-report shape: a sweep
+				// canceled after its first point fails like any other.
+				err = context.Canceled
+			}
+			return res.Bare(), err
+		}
 	case p.Kind == "fuzz" && p.Fuzz != nil:
-		f := *p.Fuzz
-		return func(ctx context.Context) (any, error) {
-			res := daemon.FuzzResult{}
-			var err error
-			if p.UntilStall > 0 {
-				res.FuzzReport, res.UntilStall, err = c.FuzzUntilStall(ctx, f, p.CorpusDir, p.UntilStall)
-			} else {
-				res.FuzzReport, err = c.Fuzz(ctx, f, p.CorpusDir)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
-		}, nil
+		f := daemon.NormalizeFuzzParams(*p.Fuzz)
+		app, scheme, seed = f.App, f.Scheme, f.Seed
+		run = func(ctx context.Context, x daemon.Executor) (any, error) {
+			return daemon.RunFuzz(ctx, f, p.CorpusDir, p.UntilStall, x, func(format string, args ...any) {
+				c.logf("fabric: fuzz "+format, args...)
+			})
+		}
 	case p.Kind == "campaign" || p.Kind == "loadtest" || p.Kind == "fuzz":
 		return nil, fmt.Errorf("submit %s: missing the kind's params", p.Kind)
+	default:
+		return nil, fmt.Errorf("submit: unknown kind %q (want campaign, loadtest or fuzz)", p.Kind)
 	}
-	return nil, fmt.Errorf("submit: unknown kind %q (want campaign, loadtest or fuzz)", p.Kind)
+	return func(ctx context.Context) (any, error) {
+		if seed == 0 {
+			return nil, errSeed
+		}
+		s, err := pssp.ParseScheme(scheme)
+		if err != nil {
+			return nil, err
+		}
+		planner, err := daemon.NewLocal(app, s, seed, "")
+		if err != nil {
+			return nil, err
+		}
+		return run(ctx, &leased{Local: planner, c: c})
+	}, nil
 }
 
 // submit validates p, registers a job, and starts it in the background.

@@ -84,9 +84,9 @@ func (c Config) backoff() time.Duration {
 	return c.Backoff
 }
 
-// Coordinator owns a set of worker connections and runs fabric jobs over
-// them. Jobs (Campaign, LoadTest, LoadSweep, Fuzz) may run concurrently;
-// each worker executes one lease at a time.
+// Coordinator owns a set of worker connections and runs fabric jobs (see
+// Job) over them. Jobs may run concurrently; each worker executes one
+// lease at a time.
 type Coordinator struct {
 	cfg Config
 	met *fabricMetrics

@@ -13,7 +13,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fuzz"
 	"repro/internal/loadgen"
-	"repro/internal/rng"
 )
 
 // CampaignPlan is a campaign's resolved engine configuration; see
@@ -45,18 +44,6 @@ type FuzzPlan = fuzz.Config
 // FuzzPartial is the wire-form result of one fuzzing shard; see
 // fuzz.Partial.
 type FuzzPartial = fuzz.Partial
-
-// FuzzStallSummary reports a continuous (until-stall) fuzzing run's
-// convergence; see FuzzUntilStall.
-type FuzzStallSummary struct {
-	// Rounds is the number of rounds executed; StallRounds the configured
-	// consecutive-unchanged-frontier stop threshold.
-	Rounds      int `json:"rounds"`
-	StallRounds int `json:"stall_rounds"`
-	// TotalExecs sums executions across rounds (the final report's Execs
-	// covers only the last round).
-	TotalExecs int `json:"total_execs"`
-}
 
 // CampaignPlan resolves cfg exactly as Campaign would — strategy-conflict
 // validation, attack-frame defaults, seed defaulting — and returns the
@@ -98,11 +85,17 @@ func (m *Machine) LoadPlan(img *Image, cfg WorkloadConfig) (LoadPlan, error) {
 // their global meaning, so client partitions, rng streams, and budget
 // shares are identical to the single-process run's.
 func (m *Machine) LoadShards(ctx context.Context, img *Image, cfg WorkloadConfig, lo, hi int) ([]*LoadPartial, error) {
-	lc, err := m.resolveWorkload(img, cfg)
+	plan, err := m.resolveWorkload(img, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return loadgen.RunShards(ctx, lc, m.bootShards(img, lc.Seed), lo, hi)
+	return m.LoadPlanShards(ctx, img, plan, lo, hi)
+}
+
+// LoadPlanShards is LoadShards of an already resolved plan, for a caller
+// that holds the plan for its merge (a whole run, a sweep point).
+func (m *Machine) LoadPlanShards(ctx context.Context, img *Image, plan LoadPlan, lo, hi int) ([]*LoadPartial, error) {
+	return loadgen.RunShards(ctx, plan, m.bootShards(img, plan.Seed), lo, hi)
 }
 
 // MergeLoadPartials folds worker partials into the report LoadTest would
@@ -140,69 +133,4 @@ func (m *Machine) FuzzShards(ctx context.Context, img *Image, cfg FuzzConfig, lo
 // fuzz.MergePartials).
 func MergeFuzzPartials(plan FuzzPlan, parts []*FuzzPartial) (*FuzzReport, error) {
 	return fuzz.MergePartials(plan, parts)
-}
-
-// FuzzRound runs one round of a continuous fuzzing run under the round's
-// mutation seed, seed corpus and base frontier.
-type FuzzRound func(ctx context.Context, seed uint64, seeds [][]byte, baseVirgin []byte) (*FuzzReport, error)
-
-// FuzzUntilStall is the one continuous-fuzzing loop — psspfuzz
-// -until-stall runs it with in-process rounds, the fabric coordinator with
-// leased ones — so both emit byte-comparable reports. It runs rounds until
-// the frontier hash is unchanged for stall consecutive rounds (stall <= 0
-// means 1). Round r>0 re-derives its mutation seed as rng.Mix(seed, r) and
-// seeds itself with baseSeeds plus every input discovered so far, with the
-// accumulated frontier as its base virgin map. When load is non-nil the
-// discoveries live in a shared persistent corpus that load re-reads before
-// every round (so concurrent runs sharing it contribute too, and the round
-// itself must fold its discoveries back); otherwise they carry over in
-// memory. logf receives one line per round. The frontier is monotone and
-// bounded, so the loop terminates. The returned report is the final
-// round's: its frontier and corpus are cumulative by construction.
-func FuzzUntilStall(ctx context.Context, seed uint64, baseSeeds [][]byte, stall int,
-	load func() (saved [][]byte, frontier []byte, err error), round FuzzRound,
-	logf func(format string, args ...any)) (*FuzzReport, *FuzzStallSummary, error) {
-	if stall <= 0 {
-		stall = 1
-	}
-	seeds := baseSeeds
-	var baseVirgin []byte
-	sum := &FuzzStallSummary{StallRounds: stall}
-	var rep *FuzzReport
-	same := 0
-	for {
-		rseed := seed
-		if sum.Rounds > 0 {
-			rseed = rng.Mix(seed, uint64(sum.Rounds))
-		}
-		if load != nil {
-			saved, frontier, err := load()
-			if err != nil {
-				return rep, sum, err
-			}
-			seeds = append(append([][]byte{}, baseSeeds...), saved...)
-			baseVirgin = frontier
-		}
-		r, err := round(ctx, rseed, seeds, baseVirgin)
-		if err != nil {
-			return rep, sum, err
-		}
-		if rep != nil && r.CoverageHash == rep.CoverageHash {
-			same++
-		} else {
-			same = 0
-		}
-		rep = r
-		sum.Rounds++
-		sum.TotalExecs += r.Execs
-		if load == nil {
-			seeds = append(append([][]byte{}, baseSeeds...), r.CorpusInputs()...)
-			baseVirgin = r.Frontier()
-		}
-		logf("round %d: %d edges, frontier %016x (%d/%d stalled)",
-			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
-		if same >= stall {
-			return rep, sum, nil
-		}
-	}
 }

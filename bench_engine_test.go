@@ -10,7 +10,7 @@ package repro
 // BENCH_engine.json so the perf trajectory is tracked across PRs. The
 // "deep" / "interpreter" sub-benchmarks measure the pre-refactor execution
 // model (eager fork copies, decode-each-step) on today's code, so every run
-// re-derives the speedup the engine is expected to hold.
+// re-derives the speedup the default engine is expected to hold.
 
 import (
 	"context"
@@ -30,7 +30,6 @@ var benchEngines = []struct {
 	name   string
 	engine pssp.Engine
 }{
-	{"predecoded", pssp.EnginePredecoded},
 	{"interpreter", pssp.EngineInterpreter},
 	{"compiled", pssp.EngineCompiled},
 }
@@ -198,21 +197,17 @@ func BenchmarkFuzz(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Sub-benchmark names stay dash-free: benchjson strips a trailing
-	// -N as the GOMAXPROCS suffix. The compiled variant runs the same
-	// fixed-seed workload under the block-lowered engine; engine
-	// invariance keeps its report bit-identical too.
+	// -N as the GOMAXPROCS suffix. Both run the default engine.
 	for _, cfg := range []struct {
 		name    string
 		workers int
-		engine  pssp.Engine
 	}{
-		{"sequential", 1, pssp.EnginePredecoded},
-		{"workers4", 4, pssp.EnginePredecoded},
-		{"compiledworkers4", 4, pssp.EngineCompiled},
+		{"sequential", 1},
+		{"workers4", 4},
 	} {
 		workers := cfg.workers
 		b.Run(cfg.name, func(b *testing.B) {
-			m := pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemeSSP), pssp.WithEngine(cfg.engine))
+			m := pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemeSSP))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var execs int
@@ -249,21 +244,17 @@ func BenchmarkCampaign(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Sub-benchmark names stay dash-free: benchjson strips a trailing
-	// -N as the GOMAXPROCS suffix. The compiled variant runs the same
-	// fixed-seed campaign under the block-lowered engine; engine
-	// invariance keeps its aggregates bit-identical too.
+	// -N as the GOMAXPROCS suffix. Both run the default engine.
 	for _, cfg := range []struct {
 		name    string
 		workers int
-		engine  pssp.Engine
 	}{
-		{"sequential", 1, pssp.EnginePredecoded},
-		{"workers4", 4, pssp.EnginePredecoded},
-		{"compiledworkers4", 4, pssp.EngineCompiled},
+		{"sequential", 1},
+		{"workers4", 4},
 	} {
 		workers := cfg.workers
 		b.Run(cfg.name, func(b *testing.B) {
-			m := pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemePSSP), pssp.WithEngine(cfg.engine))
+			m := pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemePSSP))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var trials int

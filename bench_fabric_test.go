@@ -57,10 +57,15 @@ func runFabricCampaigns(b *testing.B, coord *fabric.Coordinator) {
 	var trials int
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		rep, err := coord.Campaign(ctx, benchAttack)
+		run, err := coord.Job(fabric.SubmitParams{Kind: "campaign", Attack: &benchAttack})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res, err := run(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep := res.(daemon.AttackReport)
 		if rep.Completed != benchAttack.Repeats {
 			b.Fatalf("completed %d/%d", rep.Completed, benchAttack.Repeats)
 		}

@@ -47,17 +47,13 @@ func main() {
 		workers      = flag.Int("workers", 0, "campaign worker shards (0 = GOMAXPROCS; results are worker-count invariant)")
 		loadRequests = flag.Int("load-requests", 96, "under-load experiment request budget")
 		loadClients  = flag.Int("load-clients", 8, "under-load experiment closed-loop clients")
-		engine       = flag.String("engine", "predecoded", "execution engine: interpreter, predecoded, or compiled (results are engine-invariant)")
 		storeDir     = flag.String("store", "", "content-addressed artifact store directory (results are store-hit-invariant)")
 	)
 	flag.Parse()
 
-	eng, err := pssp.ParseEngine(*engine)
-	if err != nil {
-		cliutil.Fail("psspbench", err)
-	}
 	var st *pssp.Store
 	if *storeDir != "" {
+		var err error
 		if st, err = pssp.OpenStore(*storeDir); err != nil {
 			cliutil.Fail("psspbench", err)
 		}
@@ -72,7 +68,6 @@ func main() {
 		Workers:      *workers,
 		LoadRequests: *loadRequests,
 		LoadClients:  *loadClients,
-		Engine:       eng,
 		Store:        st,
 	}
 

@@ -28,7 +28,7 @@
 // dials the coordinator at -join (a psspctl -listen address), registers
 // under -name, and serves shard-lease requests over that one connection,
 // rejoining with capped backoff whenever it drops. Everything else —
-// warm pool, engine, store, drain — behaves identically.
+// warm pool, store, drain — behaves identically.
 //
 // -store attaches a content-addressed artifact store: cold pool misses
 // become store lookups (reported as store_hits/store_misses in `stats` and
@@ -67,7 +67,6 @@ func main() {
 		tenantJobs = flag.Int("tenant-jobs", 0, "per-tenant concurrent job bound (0 = max-jobs)")
 		quota      = flag.Uint64("quota", 0, "per-tenant victim-cycle quota (0 = unlimited)")
 		poolSize   = flag.Int("pool", 8, "warm machine pool capacity")
-		engine     = flag.String("engine", "predecoded", "execution engine: interpreter, predecoded, or compiled")
 		storeDir   = flag.String("store", "", "content-addressed artifact store directory (empty = compile in-process only)")
 		drain      = flag.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		workerMode = flag.Bool("worker", false, "run as a fabric worker: dial -join and serve shard leases instead of listening")
@@ -86,10 +85,6 @@ func main() {
 	logger := cliutil.NewLogger("psspd", level)
 	client.SetDebugf(logger.Logf(cliutil.LevelDebug))
 
-	eng, err := pssp.ParseEngine(*engine)
-	if err != nil {
-		fail(err)
-	}
 	if *workerMode {
 		if *join == "" {
 			fail(fmt.Errorf("-worker requires -join: the coordinator address to register with"))
@@ -101,7 +96,6 @@ func main() {
 			TenantJobs:  *tenantJobs,
 			QuotaCycles: *quota,
 			PoolSize:    *poolSize,
-			Engine:      eng,
 		}, fail)
 		return
 	}
@@ -136,7 +130,6 @@ func main() {
 		TenantJobs:  *tenantJobs,
 		QuotaCycles: *quota,
 		PoolSize:    *poolSize,
-		Engine:      eng,
 		Store:       st,
 	})
 	// The kernel and workpool sites are package-wide installs; psspd owns

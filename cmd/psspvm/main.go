@@ -27,7 +27,6 @@ func main() {
 		request  = flag.String("request", "", "serve requests with this payload")
 		n        = flag.Int("n", 1, "number of requests")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		engine   = flag.String("engine", "predecoded", "execution engine: interpreter, predecoded, or compiled")
 		disas    = flag.Bool("disas", false, "disassemble executable sections and exit")
 		trace    = flag.Int("trace", 0, "print the first N executed instructions")
 		stats    = flag.Bool("stats", false, "print per-opcode execution statistics")
@@ -55,11 +54,6 @@ func main() {
 	}
 	opStats := pssp.NewStats()
 	mOpts := []pssp.Option{pssp.WithSeed(*seed), pssp.WithMaxInstructions(1 << 30)}
-	eng, err := pssp.ParseEngine(*engine)
-	if err != nil {
-		fail(err)
-	}
-	mOpts = append(mOpts, pssp.WithEngine(eng))
 	switch {
 	case *stats:
 		mOpts = append(mOpts, pssp.WithStats(opStats))

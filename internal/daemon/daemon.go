@@ -51,11 +51,6 @@ type Config struct {
 	QuotaCycles uint64
 	// PoolSize bounds the warm machine pool (default 8).
 	PoolSize int
-	// Engine selects the execution engine for every machine the daemon
-	// boots (default pssp.EnginePredecoded, the zero value). All engines
-	// produce bit-identical results, so this is purely a throughput knob;
-	// pssp.EngineCompiled is the fast block-lowered tier.
-	Engine pssp.Engine
 	// Store, when non-nil, is the content-addressed artifact store behind
 	// every compile: cold pool misses become store lookups, and compiled
 	// images persist across daemon restarts. The caller owns the store and
@@ -149,7 +144,7 @@ func New(cfg Config) *Daemon {
 	}
 	d := &Daemon{
 		cfg:       cfg.withDefaults(),
-		pool:      newPool(cfg.PoolSize, cfg.Engine, cfg.Store),
+		pool:      newPool(cfg.PoolSize, cfg.Store),
 		ctx:       ctx,
 		cancel:    cancel,
 		reg:       reg,

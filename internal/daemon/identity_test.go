@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/workpool"
-	"repro/pssp"
 )
 
 // TestReportsByteIdenticalWithMetrics is the observability layer's core
 // contract: metrics and flight recording are pure read-side, so at a fixed
-// explicit seed every engine's campaign, loadtest, and fuzz reports are
+// explicit seed the campaign, loadtest, and fuzz reports are
 // byte-identical whether the full observability stack (daemon registry +
 // recorder, kernel and workpool package metrics) is installed or absent.
 func TestReportsByteIdenticalWithMetrics(t *testing.T) {
@@ -31,9 +29,9 @@ func TestReportsByteIdenticalWithMetrics(t *testing.T) {
 
 	// run executes every job on a fresh daemon and returns the marshaled
 	// reports keyed by method.
-	run := func(t *testing.T, eng pssp.Engine, withMetrics bool) map[string][]byte {
+	run := func(t *testing.T, withMetrics bool) map[string][]byte {
 		t.Helper()
-		cfg := Config{Engine: eng}
+		var cfg Config
 		if withMetrics {
 			cfg.Metrics = obs.NewRegistry()
 			cfg.Recorder = obs.NewRecorder(8, 64)
@@ -52,7 +50,7 @@ func TestReportsByteIdenticalWithMetrics(t *testing.T) {
 			// events into the job's trace when the recorder is installed.
 			res, err := d.Do(context.Background(), "ident", j.method, j.params, func(ProgressEvent) {})
 			if err != nil {
-				t.Fatalf("%s (%v, metrics=%v): %v", j.method, eng, withMetrics, err)
+				t.Fatalf("%s (metrics=%v): %v", j.method, withMetrics, err)
 			}
 			raw, err := json.Marshal(res)
 			if err != nil {
@@ -73,16 +71,12 @@ func TestReportsByteIdenticalWithMetrics(t *testing.T) {
 		return out
 	}
 
-	for _, eng := range pssp.Engines() {
-		t.Run(fmt.Sprint(eng), func(t *testing.T) {
-			plain := run(t, eng, false)
-			metered := run(t, eng, true)
-			for _, j := range jobs {
-				if !bytes.Equal(plain[j.method], metered[j.method]) {
-					t.Errorf("%s report changed under metrics:\noff: %s\non:  %s",
-						j.method, plain[j.method], metered[j.method])
-				}
-			}
-		})
+	plain := run(t, false)
+	metered := run(t, true)
+	for _, j := range jobs {
+		if !bytes.Equal(plain[j.method], metered[j.method]) {
+			t.Errorf("%s report changed under metrics:\noff: %s\non:  %s",
+				j.method, plain[j.method], metered[j.method])
+		}
 	}
 }

@@ -44,9 +44,8 @@ type entry struct {
 // scheme). Checkout is exclusive — an entry is either parked here or owned
 // by exactly one job.
 type pool struct {
-	mu     sync.Mutex
-	cap    int
-	engine pssp.Engine
+	mu  sync.Mutex
+	cap int
 	// store, when non-nil, backs every compile: an in-process image-cache
 	// miss becomes a store lookup before it becomes a compile, so images
 	// survive daemon restarts and are shared with other processes via the
@@ -61,24 +60,23 @@ type pool struct {
 	hits, misses, evictions, respawns uint64
 }
 
-func newPool(capacity int, engine pssp.Engine, store *pssp.Store) *pool {
+func newPool(capacity int, store *pssp.Store) *pool {
 	if capacity <= 0 {
 		capacity = 8
 	}
 	return &pool{
 		cap:     capacity,
-		engine:  engine,
 		store:   store,
 		entries: make(map[poolKey]*entry),
 		images:  make(map[imageKey]*pssp.Image),
 	}
 }
 
-// newMachine builds a machine under (scheme, seed) on engine, compiling
-// through the artifact store st when non-nil: the one machine builder of
-// the pool's entries and of the local executor (NewLocal).
-func newMachine(s pssp.Scheme, seed uint64, engine pssp.Engine, st *pssp.Store) *pssp.Machine {
-	opts := []pssp.Option{pssp.WithSeed(seed), pssp.WithScheme(s), pssp.WithEngine(engine)}
+// newMachine builds a machine under (scheme, seed), compiling through the
+// artifact store st when non-nil: the one machine builder of the pool's
+// entries and of the local executor (NewLocal).
+func newMachine(s pssp.Scheme, seed uint64, st *pssp.Store) *pssp.Machine {
+	opts := []pssp.Option{pssp.WithSeed(seed), pssp.WithScheme(s)}
 	if st != nil {
 		opts = append(opts, pssp.WithStore(st))
 	}
@@ -110,7 +108,7 @@ func (p *pool) image(ctx context.Context, key imageKey) (*pssp.Image, bool, erro
 		before = p.store.Stats()
 	}
 	// Compilation is seed-independent; 1 is the machine default.
-	m := newMachine(key.scheme, 1, p.engine, p.store)
+	m := newMachine(key.scheme, 1, p.store)
 	img, err := m.Pipeline().CompileApp(key.app).Image()
 	if err != nil {
 		return nil, false, err
@@ -141,7 +139,7 @@ func (p *pool) build(ctx context.Context, key poolKey) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMachine(key.scheme, key.seed, p.engine, p.store)
+	m := newMachine(key.scheme, key.seed, p.store)
 	srv, err := m.Serve(ctx, img)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: booting %s/%s seed %d: %w", key.app, key.scheme, key.seed, err)

@@ -208,7 +208,7 @@ func NewLocal(app string, s pssp.Scheme, seed uint64, storeDir string) (*Local, 
 		}
 		x.Store = st
 	}
-	x.M = newMachine(s, seed, pssp.EnginePredecoded, x.Store)
+	x.M = newMachine(s, seed, x.Store)
 	img, err := x.M.Pipeline().CompileApp(app).Image()
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
@@ -83,7 +84,7 @@ func TestCampaignMatchesLocalAcrossWorkers(t *testing.T) {
 	want := asJSON(t, localCampaign(t, p))
 	for _, workers := range []int{1, 2} {
 		c := coordinator(t, workers, Config{LeaseShards: 2})
-		got, err := c.Campaign(context.Background(), p)
+		got, err := typed[daemon.AttackReport](context.Background(), c, SubmitParams{Kind: "campaign", Attack: &p})
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -113,7 +114,7 @@ func TestCampaignSurvivesWorkerKilledMidLease(t *testing.T) {
 		}
 		c.KillWorker(victim)
 	}()
-	got, err := c.Campaign(context.Background(), p)
+	got, err := typed[daemon.AttackReport](context.Background(), c, SubmitParams{Kind: "campaign", Attack: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestLoadTestAndSweepMatchLocal(t *testing.T) {
 	}
 
 	c := coordinator(t, 2, Config{})
-	got, err := c.LoadTest(context.Background(), p)
+	got, err := typed[*pssp.LoadReport](context.Background(), c, SubmitParams{Kind: "loadtest", Load: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestLoadTestAndSweepMatchLocal(t *testing.T) {
 	}
 	ps := p
 	ps.Sweep = []float64{0.5, 1}
-	gotSweep, err := c.LoadSweep(context.Background(), ps)
+	gotSweep, err := typed[*pssp.LoadSweepReport](context.Background(), c, SubmitParams{Kind: "loadtest", Load: &ps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +195,11 @@ func TestFuzzMatchesLocalAndSyncsCorpus(t *testing.T) {
 
 	c := coordinator(t, 2, Config{})
 	corpusDir := filepath.Join(t.TempDir(), "corpus")
-	got, err := c.Fuzz(context.Background(), p, corpusDir)
+	res, err := typed[daemon.FuzzResult](context.Background(), c, SubmitParams{Kind: "fuzz", Fuzz: &p, CorpusDir: corpusDir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.FuzzReport
 	if g, w := asJSON(t, got), asJSON(t, want); g != w {
 		t.Errorf("fabric fuzz report differs from local run:\n got %s\nwant %s", g, w)
 	}
@@ -210,10 +212,11 @@ func TestFuzzMatchesLocalAndSyncsCorpus(t *testing.T) {
 
 	// The shared corpus must now hold the run's discoveries: a continuous
 	// round resuming from it stalls immediately once coverage is saturated.
-	rep, sum, err := c.FuzzUntilStall(context.Background(), p, corpusDir, 2)
+	res, err = typed[daemon.FuzzResult](context.Background(), c, SubmitParams{Kind: "fuzz", Fuzz: &p, CorpusDir: corpusDir, UntilStall: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, sum := res.FuzzReport, res.UntilStall
 	if sum.Rounds < 2 {
 		t.Errorf("until-stall ran %d rounds, want >= 2", sum.Rounds)
 	}
@@ -226,7 +229,7 @@ func TestFatalWorkerErrorFailsJob(t *testing.T) {
 	c := coordinator(t, 1, Config{})
 	// Unknown app: plan resolution happens worker-side at image compile and
 	// reports internal — fatal, not a reassignment loop.
-	_, err := c.Fuzz(context.Background(), daemon.FuzzParams{App: "no-such-app", Seed: 3}, "")
+	_, err := typed[daemon.FuzzResult](context.Background(), c, SubmitParams{Kind: "fuzz", Fuzz: &daemon.FuzzParams{App: "no-such-app", Seed: 3}})
 	if err == nil {
 		t.Fatal("want fatal job error for unknown app")
 	}
@@ -262,11 +265,31 @@ func TestWorkerJoinViaServeRegister(t *testing.T) {
 	}
 	p := daemon.AttackParams{Target: "nginx-vuln", Scheme: "ssp", Budget: 128, Repeats: 2, Seed: 7}
 	want := asJSON(t, localCampaign(t, p))
-	got, err := c.Campaign(ctx, p)
+	got, err := typed[daemon.AttackReport](ctx, c, SubmitParams{Kind: "campaign", Attack: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g := asJSON(t, got); g != want {
 		t.Errorf("dial-in worker report differs from local run:\n got %s\nwant %s", g, want)
 	}
+}
+
+// typed runs job p and returns its report as R — an error if the job's
+// kind reports another shape (a single-point loadtest given sweep params,
+// say).
+func typed[R any](ctx context.Context, c *Coordinator, p SubmitParams) (R, error) {
+	var rep R
+	run, err := c.Job(p)
+	if err != nil {
+		return rep, err
+	}
+	res, err := run(ctx)
+	if err != nil {
+		return rep, err
+	}
+	rep, ok := res.(R)
+	if !ok {
+		return rep, fmt.Errorf("fabric: %s job reports %T, not %T", p.Kind, res, rep)
+	}
+	return rep, nil
 }

@@ -84,7 +84,9 @@ func TestOutOfLeasePartialFailsLease(t *testing.T) {
 			Lo: sp.Lo, Hi: sp.Hi,
 			Outcomes: []campaign.Outcome{{Rep: sp.Hi, Success: true, Verified: true, Trials: 1, OracleCalls: 1}},
 		}}
-	}), func(ctx context.Context, c *Coordinator) (any, error) { return c.Campaign(ctx, p) })
+	}), func(ctx context.Context, c *Coordinator) (any, error) {
+		return typed[daemon.AttackReport](ctx, c, SubmitParams{Kind: "campaign", Attack: &p})
+	})
 	if g := asJSON(t, got); g != want {
 		t.Errorf("out-of-lease partial leaked into the merge:\n got %s\nwant %s", g, want)
 	}
@@ -112,7 +114,9 @@ func TestMisshapenPartialFailsLease(t *testing.T) {
 		}
 		got, c := withRogue(t, rogueWorker(func(sp daemon.LoadShardParams) any {
 			return daemon.LoadShardResult{Partials: []*pssp.LoadPartial{{Shard: sp.Lo, Requests: 1}}}
-		}), func(ctx context.Context, c *Coordinator) (any, error) { return c.LoadTest(ctx, p) })
+		}), func(ctx context.Context, c *Coordinator) (any, error) {
+			return typed[*pssp.LoadReport](ctx, c, SubmitParams{Kind: "loadtest", Load: &p})
+		})
 		if g, w := asJSON(t, got), asJSON(t, want); g != w {
 			t.Errorf("misshapen load partial leaked into the merge:\n got %s\nwant %s", g, w)
 		}
@@ -131,7 +135,10 @@ func TestMisshapenPartialFailsLease(t *testing.T) {
 		}
 		got, c := withRogue(t, rogueWorker(func(sp daemon.FuzzShardParams) any {
 			return daemon.FuzzShardResult{Partials: []*pssp.FuzzPartial{{Shard: sp.Lo, Execs: 1, Virgin: make([]byte, vm.CovMapSize+1)}}}
-		}), func(ctx context.Context, c *Coordinator) (any, error) { return c.Fuzz(ctx, p, "") })
+		}), func(ctx context.Context, c *Coordinator) (any, error) {
+			res, err := typed[daemon.FuzzResult](ctx, c, SubmitParams{Kind: "fuzz", Fuzz: &p})
+			return res.FuzzReport, err
+		})
 		if g, w := asJSON(t, got), asJSON(t, want); g != w {
 			t.Errorf("misshapen fuzz partial leaked into the merge:\n got %s\nwant %s", g, w)
 		}

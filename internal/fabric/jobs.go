@@ -128,50 +128,3 @@ func (l *leased) Fuzz(ctx context.Context, sp daemon.FuzzShardParams) (*pssp.Fuz
 	l.c.noteFrontier(rep.Edges)
 	return rep, nil
 }
-
-// Campaign runs an attack campaign job through Job.
-func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (daemon.AttackReport, error) {
-	return typed[daemon.AttackReport](ctx, c, SubmitParams{Kind: "campaign", Attack: &p})
-}
-
-// LoadTest runs a single-workload loadtest job through Job.
-func (c *Coordinator) LoadTest(ctx context.Context, p daemon.LoadParams) (*pssp.LoadReport, error) {
-	return typed[*pssp.LoadReport](ctx, c, SubmitParams{Kind: "loadtest", Load: &p})
-}
-
-// LoadSweep runs a loadtest job with sweep multipliers through Job.
-func (c *Coordinator) LoadSweep(ctx context.Context, p daemon.LoadParams) (*pssp.LoadSweepReport, error) {
-	return typed[*pssp.LoadSweepReport](ctx, c, SubmitParams{Kind: "loadtest", Load: &p})
-}
-
-// Fuzz runs a one-round fuzz job through Job (corpusDir: psspfuzz -corpus).
-func (c *Coordinator) Fuzz(ctx context.Context, p daemon.FuzzParams, corpusDir string) (*pssp.FuzzReport, error) {
-	res, err := typed[daemon.FuzzResult](ctx, c, SubmitParams{Kind: "fuzz", Fuzz: &p, CorpusDir: corpusDir})
-	return res.FuzzReport, err
-}
-
-// FuzzUntilStall runs a continuous fuzz job through Job (stall > 0:
-// psspfuzz -until-stall).
-func (c *Coordinator) FuzzUntilStall(ctx context.Context, p daemon.FuzzParams, corpusDir string, stall int) (*pssp.FuzzReport, *daemon.FuzzStallSummary, error) {
-	res, err := typed[daemon.FuzzResult](ctx, c, SubmitParams{Kind: "fuzz", Fuzz: &p, CorpusDir: corpusDir, UntilStall: stall})
-	return res.FuzzReport, res.UntilStall, err
-}
-
-// typed runs job p and returns its report as R — an error if the job's
-// kind reports another shape (LoadTest given sweep params, say).
-func typed[R any](ctx context.Context, c *Coordinator, p SubmitParams) (R, error) {
-	var rep R
-	run, err := c.Job(p)
-	if err != nil {
-		return rep, err
-	}
-	res, err := run(ctx)
-	if err != nil {
-		return rep, err
-	}
-	rep, ok := res.(R)
-	if !ok {
-		return rep, fmt.Errorf("fabric: %s job reports %T, not %T", p.Kind, res, rep)
-	}
-	return rep, nil
-}

@@ -270,29 +270,38 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 	}
 
 	// minimize tail-trims input to the shortest form that still crashes
-	// with key k, then normalizes bytes to the canonical filler where the
-	// crash is preserved, spending at most cfg.MinimizeBudget executions.
+	// with key k, normalizes bytes to the canonical filler where the crash
+	// is preserved, then tail-trims again, spending at most
+	// cfg.MinimizeBudget executions.
 	minimize := func(input []byte, k crashKey) ([]byte, error) {
 		cur := append([]byte(nil), input...)
 		left := cfg.MinimizeBudget
-		for step := len(cur) / 2; step > 0 && left > 0; {
-			if step >= len(cur) {
-				step = len(cur) - 1
-				if step == 0 {
-					break
+		// trim cuts step bytes off the tail while the crash holds, halving
+		// step on each rejected cut.
+		trim := func(step int) error {
+			for step > 0 && left > 0 {
+				if step >= len(cur) {
+					step = len(cur) - 1
+					if step == 0 {
+						break
+					}
+				}
+				cand := cur[:len(cur)-step]
+				left--
+				same, err := crashesAs(cand, k)
+				if err != nil {
+					return err
+				}
+				if same {
+					cur = cand
+				} else {
+					step /= 2
 				}
 			}
-			cand := cur[:len(cur)-step]
-			left--
-			same, err := crashesAs(cand, k)
-			if err != nil {
-				return cur, err
-			}
-			if same {
-				cur = cand
-			} else {
-				step /= 2
-			}
+			return nil
+		}
+		if err := trim(len(cur) / 2); err != nil {
+			return cur, err
 		}
 		for i := 0; i < len(cur) && left > 0; i++ {
 			if cur[i] == minFiller {
@@ -310,7 +319,10 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 				cur[i] = old
 			}
 		}
-		return cur, nil
+		// Normalizing can revive a cut the first trim rejected: a mutated
+		// byte equal to the canary byte it overwrote kept the one-shorter
+		// input from crashing. Retry the tail byte by byte.
+		return cur, trim(1)
 	}
 
 	// triage records a crashing execution: dedupe by key, then minimize the

@@ -146,6 +146,61 @@ func TestTriageDedupesAndMinimizes(t *testing.T) {
 	}
 }
 
+// canaryTarget models SSP's detection: an overflow past bufLen crashes only
+// if it changes one of the canary bytes stored above the buffer, so an
+// overflow byte equal to the canary byte it overwrites goes unnoticed.
+type canaryTarget struct {
+	bufLen int
+	canary []byte
+	cov    vm.CovMap
+}
+
+func (f *canaryTarget) Execute(_ context.Context, input []byte) (Exec, *vm.CovMap, error) {
+	f.cov.Reset()
+	f.cov.Bytes()[1] = 1
+	ex := Exec{Cycles: uint64(100 + len(input)), Insts: uint64(10 + len(input))}
+	for i, b := range input[min(len(input), f.bufLen):] {
+		if i < len(f.canary) && b != f.canary[i] {
+			ex.Crashed = true
+			ex.Detected = true
+			ex.CrashPC = 0x4242
+			ex.Kind = "abort (stack smashing detected)"
+		}
+	}
+	return ex, &f.cov, nil
+}
+
+func TestMinimizeRetrimsAfterNormalizing(t *testing.T) {
+	// The crashing seed overwrites the first canary byte with its own value
+	// and only the second one with a different value, so the first tail
+	// trim must stop at bufLen+2. Normalizing the matching byte to the
+	// filler makes bufLen+1 bytes crash, and minimization must find that.
+	const bufLen = 16
+	canary := []byte{0x5a, 0x17}
+	seed := append(bytes.Repeat([]byte{minFiller}, bufLen), canary[0], ^canary[1])
+	rep, err := Run(context.Background(), Config{
+		Seeds:  [][]byte{seed},
+		Execs:  1,
+		Shards: 1,
+		Seed:   1,
+	}, func(context.Context, int) (Executor, error) {
+		return &canaryTarget{bufLen: bufLen, canary: canary}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || !bytes.Equal(rep.Findings[0].Input, seed) {
+		t.Fatalf("findings = %+v, want the crashing seed alone", rep.Findings)
+	}
+	f := rep.Findings[0]
+	if len(f.Minimized) != bufLen+1 {
+		t.Fatalf("minimized length = %d, want %d: %q", len(f.Minimized), bufLen+1, f.Minimized)
+	}
+	if f.OverflowLen() != bufLen {
+		t.Fatalf("OverflowLen = %d, want %d", f.OverflowLen(), bufLen)
+	}
+}
+
 func TestCoverageNoveltyGrowsCorpus(t *testing.T) {
 	rep, err := Run(context.Background(), Config{
 		Seeds:  [][]byte{[]byte("GET /")},

@@ -57,11 +57,9 @@ type Config struct {
 	// (default 768). See FuzzDiscovery.
 	FuzzExecs int
 	// Engine selects the VM execution engine for every machine the drivers
-	// build. The zero value is the default decode-once engine
-	// (pssp.EnginePredecoded); pssp.EngineCompiled is the fast
-	// block-lowered tier and pssp.EngineInterpreter the legacy reference.
-	// The cross-engine golden tests run the full drivers under all three
-	// and assert identical values, so the knob only changes wall-clock.
+	// build. The zero value is the block-lowered pssp.EngineCompiled;
+	// pssp.EngineInterpreter is the reference the cross-engine golden tests
+	// run the full drivers under to assert identical values.
 	Engine pssp.Engine
 	// Store, when non-nil, routes every compile the drivers perform through
 	// the content-addressed artifact store. Store hits are byte-identical to

@@ -138,10 +138,10 @@ type Kernel struct {
 	MaxInsts uint64
 
 	// Engine selects the VM execution engine for every process the kernel
-	// spawns. The zero value is vm.EnginePredecoded; vm.EngineCompiled is
-	// the fast block-lowered tier and vm.EngineInterpreter the legacy
-	// decode-each-step path (differential testing). Forked children inherit
-	// the parent's engine with the rest of the CPU state.
+	// spawns. The zero value is vm.EngineCompiled, the block-lowered tier;
+	// vm.EngineInterpreter is the decode-each-step reference for
+	// differential testing. Forked children inherit the parent's engine with
+	// the rest of the CPU state.
 	Engine vm.Engine
 
 	// now is global machine time in cycles, advanced by every Run. New

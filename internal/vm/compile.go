@@ -18,7 +18,7 @@ import (
 // the dispatcher (runCompiled) performs budget, cancellation, halt and
 // segment checks once per block instead of once per step.
 //
-// The bit-identity contract with the other engines is absolute: Insts,
+// The bit-identity contract with the interpreter is absolute: Insts,
 // Cycles, coverage edges, crash errors (reason strings and unwrapped
 // mem.Fault values), RDTSC reads and RDRAND draws must be indistinguishable
 // from the per-step loop. The tier earns that two ways: anything it cannot
@@ -396,22 +396,12 @@ func (comp *segCompiled) lower(sc *segCode, segBase, entry uint64) int32 {
 // blockAt resolves the block entered at the current RIP, lowering it on
 // first execution. nil means the Step path must execute here: fetch fault,
 // cold offset, or a trap-headed block. As a side effect it maintains the
-// curSeg/curGen/curCode fast-path state (shared with fetchPredecoded) and
-// retires stale memory views when the space's sharing epoch moved.
+// segment fast-path state (see execSegment) and retires stale memory views
+// when the space's sharing epoch moved.
 func (c *CPU) blockAt() *block {
-	seg := c.curSeg
-	if seg == nil || c.RIP < seg.Base || c.RIP >= seg.End() || seg.Gen() != c.curGen {
-		s, err := c.Mem.ExecSegment(c.RIP)
-		if err != nil {
-			return nil // Step raises the engine-identical fetch fault
-		}
-		if c.code == nil {
-			c.code = NewCodeCache()
-		}
-		c.curSeg = s
-		c.curGen = s.Gen()
-		c.curCode = c.code.forSegment(s)
-		seg = s
+	seg, err := c.execSegment()
+	if err != nil {
+		return nil // Step raises the engine-identical fetch fault
 	}
 	if ep := c.Mem.Epoch(); ep != c.viewEpoch {
 		c.viewEpoch = ep
@@ -432,7 +422,7 @@ func (c *CPU) blockAt() *block {
 	return sc.comp.blocks[bi]
 }
 
-// runCompiled is RunContext's dispatch loop for EngineCompiled. The
+// runCompiled is RunContext's block dispatch loop for EngineCompiled. The
 // ordering of the budget check, the cancellation poll and the halt check
 // mirrors the per-step loop exactly (budget at the loop head, poll before
 // the first instruction and then at the cancelCheckMask stride, halt

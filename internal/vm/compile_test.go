@@ -9,39 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-// diffEngines builds one CPU per engine via build, runs each to completion
-// (or error), and asserts bit-identical final state and identical error
-// shape, returning the reference outcome.
-func diffEngines(t *testing.T, maxInsts uint64, build func(t *testing.T, e Engine) *CPU) (snapshot, error) {
-	t.Helper()
-	ref := build(t, allEngines[0])
-	refErr := ref.Run(maxInsts)
-	for _, e := range allEngines[1:] {
-		c := build(t, e)
-		cErr := c.Run(maxInsts)
-		if a, b := snap(ref), snap(c); a != b {
-			t.Fatalf("engines diverged:\n%s: %+v\n%s: %+v", allEngines[0], a, e, b)
-		}
-		switch {
-		case refErr == nil && cErr == nil:
-		case refErr == nil || cErr == nil:
-			t.Fatalf("engines disagree on error: %s=%v %s=%v", allEngines[0], refErr, e, cErr)
-		default:
-			if refErr.Error() != cErr.Error() {
-				t.Fatalf("engines disagree on error text:\n%s: %v\n%s: %v", allEngines[0], refErr, e, cErr)
-			}
-			var rf, cf *mem.Fault
-			if errors.As(refErr, &rf) != errors.As(cErr, &cf) {
-				t.Fatalf("engines disagree on fault presence: %s=%v %s=%v", allEngines[0], refErr, e, cErr)
-			}
-			if rf != nil && *rf != *cf {
-				t.Fatalf("engines disagree on fault detail:\n%s: %+v\n%s: %+v", allEngines[0], *rf, e, *cf)
-			}
-		}
-	}
-	return snap(ref), refErr
-}
-
 // canaryProg is the canonical fused-superinstruction shape: an SSP-style
 // prologue install (ldfs;store) and epilogue check (load;xorfs;je) around a
 // frame at rbp. The check passes (nothing clobbers the slot), so JE skips
@@ -74,7 +41,7 @@ func canaryProg() []isa.Inst {
 }
 
 func TestCompiledFusedCanarySequence(t *testing.T) {
-	st, err := runBothEngines(t, canaryProg(), 100)
+	st, err := runAllEngines(t, canaryProg(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +121,7 @@ func TestCompiledJumpIntoFusedSuperinstruction(t *testing.T) {
 func TestCompiledFusedFaultUnwindsExactly(t *testing.T) {
 	t.Run("install-store-fault", func(t *testing.T) {
 		// rbp unmapped: ldfs retires, its fused store faults.
-		_, err := runBothEngines(t, []isa.Inst{
+		_, err := runAllEngines(t, []isa.Inst{
 			{Op: isa.MOVRI, R1: isa.RBP, Imm: 0x100},
 			{Op: isa.LDFS, R1: isa.RAX, Disp: 0x28},
 			{Op: isa.STORE, R1: isa.RAX, Base: isa.RBP, Disp: -8},
@@ -166,7 +133,7 @@ func TestCompiledFusedFaultUnwindsExactly(t *testing.T) {
 	})
 	t.Run("install-ldfs-fault", func(t *testing.T) {
 		// fs:0x2000 is past the TLS block: the first constituent faults.
-		_, err := runBothEngines(t, []isa.Inst{
+		_, err := runAllEngines(t, []isa.Inst{
 			{Op: isa.MOVRI, R1: isa.RBP, Imm: int64(mem.StackTop - 0x100)},
 			{Op: isa.LDFS, R1: isa.RAX, Disp: 0x2000},
 			{Op: isa.STORE, R1: isa.RAX, Base: isa.RBP, Disp: -8},
@@ -179,7 +146,7 @@ func TestCompiledFusedFaultUnwindsExactly(t *testing.T) {
 	t.Run("check-xorfs-fault", func(t *testing.T) {
 		// The check's load retires (rbx must hold the loaded word in the
 		// final state), then its fused xorfs faults past the TLS block.
-		_, err := runBothEngines(t, []isa.Inst{
+		_, err := runAllEngines(t, []isa.Inst{
 			{Op: isa.MOVRI, R1: isa.RBP, Imm: int64(mem.StackTop - 0x100)},
 			{Op: isa.LDFS, R1: isa.RAX, Disp: 0x28},
 			{Op: isa.STORE, R1: isa.RAX, Base: isa.RBP, Disp: -8},
@@ -196,7 +163,7 @@ func TestCompiledFusedFaultUnwindsExactly(t *testing.T) {
 	t.Run("xor-check-xorfs-fault", func(t *testing.T) {
 		// P-SSP shape: the leading xor retires (r1 and ZF updated), the
 		// fused xorfs faults.
-		_, err := runBothEngines(t, []isa.Inst{
+		_, err := runAllEngines(t, []isa.Inst{
 			{Op: isa.MOVRI, R1: isa.RAX, Imm: 5},
 			{Op: isa.MOVRI, R1: isa.RBX, Imm: 5},
 			{Op: isa.XORRR, R1: isa.RAX, R2: isa.RBX},
@@ -228,14 +195,14 @@ func TestCompiledBudgetExhaustionMidBlock(t *testing.T) {
 		{Op: isa.HLT},
 	}
 	for budget := uint64(1); budget < 8; budget++ {
-		_, err := runBothEngines(t, prog, budget)
+		_, err := runAllEngines(t, prog, budget)
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("budget %d: %v, want ErrBudget", budget, err)
 		}
 	}
 	// And across loop iterations: exhaustion mid-iteration of a hot block.
 	for budget := uint64(7); budget < 29; budget += 3 {
-		_, err := runBothEngines(t, covProg(), budget)
+		_, err := runAllEngines(t, covProg(), budget)
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("loop budget %d: %v, want ErrBudget", budget, err)
 		}
@@ -360,11 +327,11 @@ func TestCompiledCoverageBitIdentical(t *testing.T) {
 		{"loop", covProg()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			record := func(e Engine) *CovMap {
-				c := buildEngineCPU(t, e, tc.prog)
+			record := func(a engineArm) *CovMap {
+				c := buildEngineCPU(t, a.engine, tc.prog)
 				var cov CovMap
 				c.SetCoverage(&cov)
-				if err := c.Run(1000); err != nil {
+				if err := a.run(c, 1000); err != nil {
 					t.Fatal(err)
 				}
 				return &cov
@@ -381,7 +348,7 @@ func TestCompiledCoverageBitIdentical(t *testing.T) {
 
 // TestCompiledDispatchLoopDoesNotAllocate pins the allocation-free
 // steady state of the compiled dispatch loop — the same invariant
-// coverage_test.go pins for the predecoded engine — with coverage disabled
+// coverage_test.go pins for the per-step path — with coverage disabled
 // and enabled. The program mixes fused canary sequences, stack traffic and
 // plain memory ops so all three view classes stay hot.
 func TestCompiledDispatchLoopDoesNotAllocate(t *testing.T) {

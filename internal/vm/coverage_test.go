@@ -29,16 +29,16 @@ func covProg() []isa.Inst {
 // uninstrumented one, under every engine. Coverage observes execution, it
 // never steers it.
 func TestCoverageDoesNotPerturbExecution(t *testing.T) {
-	for _, e := range allEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			plain := buildEngineCPU(t, e, covProg())
-			if err := plain.Run(1000); err != nil {
+	for _, a := range allEngines {
+		t.Run(a.name, func(t *testing.T) {
+			plain := buildEngineCPU(t, a.engine, covProg())
+			if err := a.run(plain, 1000); err != nil {
 				t.Fatal(err)
 			}
-			instr := buildEngineCPU(t, e, covProg())
+			instr := buildEngineCPU(t, a.engine, covProg())
 			var cov CovMap
 			instr.SetCoverage(&cov)
-			if err := instr.Run(1000); err != nil {
+			if err := a.run(instr, 1000); err != nil {
 				t.Fatal(err)
 			}
 			if a, b := snap(plain), snap(instr); a != b {
@@ -58,7 +58,7 @@ func TestCoverageDoesNotPerturbExecution(t *testing.T) {
 func TestCoverageDisabledStepIsAllocationFree(t *testing.T) {
 	run := func(t *testing.T, cov *CovMap) {
 		t.Helper()
-		c := buildEngineCPU(t, EnginePredecoded, covProg())
+		c := buildEngineCPU(t, EngineCompiled, covProg())
 		c.SetCoverage(cov)
 		allocs := testing.AllocsPerRun(50, func() {
 			c.RIP = mem.TextBase
@@ -80,7 +80,7 @@ func TestCoverageDisabledStepIsAllocationFree(t *testing.T) {
 // Reset restores the empty map.
 func TestCoverageDeterministicAndResettable(t *testing.T) {
 	record := func() *CovMap {
-		c := buildEngineCPU(t, EnginePredecoded, covProg())
+		c := buildEngineCPU(t, EngineCompiled, covProg())
 		var cov CovMap
 		c.SetCoverage(&cov)
 		if err := c.Run(1000); err != nil {
@@ -105,7 +105,7 @@ func TestCoverageDeterministicAndResettable(t *testing.T) {
 // footprints — the novelty signal corpus admission depends on.
 func TestCoverageDistinguishesPaths(t *testing.T) {
 	run := func(prog []isa.Inst) *CovMap {
-		c := buildEngineCPU(t, EnginePredecoded, prog)
+		c := buildEngineCPU(t, EngineCompiled, prog)
 		var cov CovMap
 		c.SetCoverage(&cov)
 		if err := c.Run(1000); err != nil {
@@ -127,7 +127,7 @@ func TestCoverageDistinguishesPaths(t *testing.T) {
 // installed once on the parent, the forked child's CPU copy shares it, and
 // the child's execution records into it.
 func TestCoverageSharedAcrossFork(t *testing.T) {
-	parent := buildEngineCPU(t, EnginePredecoded, covProg())
+	parent := buildEngineCPU(t, EngineCompiled, covProg())
 	var cov CovMap
 	parent.SetCoverage(&cov)
 
@@ -149,7 +149,7 @@ func TestCoverageSharedAcrossFork(t *testing.T) {
 // faulting instruction are recorded — crash triage needs the path that led
 // to the fault.
 func TestCoverageRecordsCrashingPath(t *testing.T) {
-	c := buildEngineCPU(t, EnginePredecoded, []isa.Inst{
+	c := buildEngineCPU(t, EngineCompiled, []isa.Inst{
 		{Op: isa.MOVRI, R1: isa.RBX, Imm: 0x100}, // unmapped
 		{Op: isa.LOAD, R1: isa.RAX, Base: isa.RBX, Disp: 0},
 		{Op: isa.HLT},

@@ -8,45 +8,38 @@ import (
 // Engine selects how the CPU turns memory bytes into executed instructions.
 type Engine uint8
 
-// Engines. The zero value is EnginePredecoded, so CPUs default to the
-// decode-once path everywhere; the interpreter stays selectable for
-// differential testing (see pssp.WithEngine).
+// Engines. The zero value is EngineCompiled, so CPUs default to the
+// block-lowered tier everywhere; the interpreter stays selectable as the
+// reference semantics for differential testing (see pssp.WithEngine).
 const (
-	// EnginePredecoded decodes each executable segment once into a code
-	// cache of []isa.Inst plus a PC→instruction table, and dispatches over
-	// the predecoded stream. The cache is shared read-only across forked
-	// children (fork copies the CPU, and copy-on-write memory keeps the
-	// backing code bytes shared) and is invalidated by the segment
-	// generation counter when executable bytes change.
-	EnginePredecoded Engine = iota
-	// EngineInterpreter re-fetches and re-decodes from segment bytes on
-	// every step — the original execution model, kept as the reference
-	// semantics the predecoded engine is differentially tested against.
-	EngineInterpreter
-	// EngineCompiled lowers each predecoded segment, lazily and per entry
-	// point, into basic blocks of flat pre-resolved micro-ops (see
+	// EngineCompiled decodes each executable segment once into a code cache
+	// of []isa.Inst plus a PC→instruction table, then lowers it, lazily and
+	// per entry point, into basic blocks of flat pre-resolved micro-ops (see
 	// compile.go): operands are direct register indices, memory operands go
 	// through cached segment views that skip the per-access segment walk,
 	// the canary prologue/epilogue sequences fuse into superinstructions,
 	// and budget/cycle/cancellation checks run once per block instead of
-	// per step. Blocks hang off the same segCode entries as the predecode
-	// cache, so they share the cache's generation-based invalidation and
-	// travel to forked children with it; anything the block tier cannot
-	// prove safe (traps, cold offsets, self-modified segments, instrumented
-	// runs, the sub-block budget tail) falls back to the per-step path,
-	// keeping all observable state bit-identical to the other engines.
-	EngineCompiled
+	// per step. The cache is shared read-only across forked children (fork
+	// copies the CPU, and copy-on-write memory keeps the backing code bytes
+	// shared) and is invalidated by the segment generation counter when
+	// executable bytes change. Anything the block tier cannot prove safe
+	// (traps, cold offsets, self-modified segments, instrumented runs, the
+	// sub-block budget tail) falls back to the per-step path over the same
+	// cache, keeping all observable state bit-identical to the interpreter.
+	EngineCompiled Engine = iota
+	// EngineInterpreter re-fetches and re-decodes from segment bytes on
+	// every step — the original execution model, kept as the reference
+	// semantics the compiled engine is differentially tested against.
+	EngineInterpreter
 )
 
 // String names the engine.
 func (e Engine) String() string {
 	switch e {
-	case EnginePredecoded:
-		return "predecoded"
-	case EngineInterpreter:
-		return "interpreter"
 	case EngineCompiled:
 		return "compiled"
+	case EngineInterpreter:
+		return "interpreter"
 	default:
 		return "engine?"
 	}
@@ -134,29 +127,39 @@ func (cc *CodeCache) forSegment(seg *mem.Segment) *segCode {
 	return sc
 }
 
-// fetchPredecoded resolves the instruction at RIP through the code cache.
-// The per-CPU (curSeg, curCode) pair short-circuits the segment lookup while
-// execution stays inside one segment, which it almost always does.
-func (c *CPU) fetchPredecoded() (isa.Inst, int, error) {
+// execSegment resolves the executable segment at RIP and its predecoded
+// form, refreshing the per-CPU (curSeg, curGen, curCode) triple that
+// short-circuits the lookup while execution stays inside one segment, which
+// it almost always does. The error is ExecSegment's, unshaped.
+func (c *CPU) execSegment() (*mem.Segment, error) {
 	seg := c.curSeg
-	if seg == nil || c.RIP < seg.Base || c.RIP >= seg.End() || seg.Gen() != c.curGen {
-		var err error
-		seg, err = c.Mem.ExecSegment(c.RIP)
-		if err != nil {
-			// Report the same 16-byte-window fault the interpreter's
-			// Fetch(rip, 16) raises, so unwrapped mem.Fault values stay
-			// bit-identical across engines.
-			if f, ok := err.(*mem.Fault); ok {
-				f.Size = 16
-			}
-			return isa.Inst{}, 0, c.crash("instruction fetch fault", err)
+	if seg != nil && c.RIP >= seg.Base && c.RIP < seg.End() && seg.Gen() == c.curGen {
+		return seg, nil
+	}
+	seg, err := c.Mem.ExecSegment(c.RIP)
+	if err != nil {
+		return nil, err
+	}
+	if c.code == nil {
+		c.code = NewCodeCache()
+	}
+	c.curSeg = seg
+	c.curGen = seg.Gen()
+	c.curCode = c.code.forSegment(seg)
+	return seg, nil
+}
+
+// fetchPredecoded resolves the instruction at RIP through the code cache.
+func (c *CPU) fetchPredecoded() (isa.Inst, int, error) {
+	seg, err := c.execSegment()
+	if err != nil {
+		// Report the same 16-byte-window fault the interpreter's
+		// Fetch(rip, 16) raises, so unwrapped mem.Fault values stay
+		// bit-identical across engines.
+		if f, ok := err.(*mem.Fault); ok {
+			f.Size = 16
 		}
-		if c.code == nil {
-			c.code = NewCodeCache()
-		}
-		c.curSeg = seg
-		c.curGen = seg.Gen()
-		c.curCode = c.code.forSegment(seg)
+		return isa.Inst{}, 0, c.crash("instruction fetch fault", err)
 	}
 	off := c.RIP - seg.Base
 	if i := c.curCode.idx[off]; i >= 0 {

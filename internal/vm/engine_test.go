@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -31,21 +32,45 @@ func snap(c *CPU) snapshot {
 	return snapshot{GPR: c.GPR, X: c.X, RIP: c.RIP, ZF: c.ZF, CF: c.CF, Cycles: c.Cycles, Insts: c.Insts}
 }
 
+// engineArm is one column of the differential matrix: an engine plus the
+// loop that drives it.
+type engineArm struct {
+	name   string
+	engine Engine
+	// steps drives the CPU through the per-step loop (the path instrumented
+	// runs take) instead of Run's dispatcher.
+	steps bool
+}
+
+func (a engineArm) String() string { return a.name }
+
+// run executes c to halt, crash or budget exhaustion through the arm's loop.
+func (a engineArm) run(c *CPU, maxInsts uint64) error {
+	if a.steps {
+		return c.runSteps(context.Background(), maxInsts)
+	}
+	return c.Run(maxInsts)
+}
+
 // allEngines is the full differential matrix; index 0 is the reference the
-// others are compared against.
-var allEngines = []Engine{EngineInterpreter, EnginePredecoded, EngineCompiled}
+// others are compared against. The compiled engine runs twice: through the
+// block dispatcher, and one Step at a time through the code cache.
+var allEngines = []engineArm{
+	{"interpreter", EngineInterpreter, false},
+	{"compiled", EngineCompiled, false},
+	{"compiled-per-step", EngineCompiled, true},
+}
 
-// runBothEngines executes the program to completion (or error) under every
-// engine and asserts bit-identical final state and identical error shape.
-// (The name predates the third engine; "both" now means "all".)
-func runBothEngines(t *testing.T, prog []isa.Inst, maxInsts uint64) (snapshot, error) {
+// diffEngines builds one CPU per arm via build, runs each to completion
+// (or error), and asserts bit-identical final state and identical error
+// shape, returning the reference outcome.
+func diffEngines(t *testing.T, maxInsts uint64, build func(t *testing.T, e Engine) *CPU) (snapshot, error) {
 	t.Helper()
-	ref := buildEngineCPU(t, allEngines[0], prog)
-	refErr := ref.Run(maxInsts)
+	ref := build(t, allEngines[0].engine)
+	refErr := allEngines[0].run(ref, maxInsts)
 	for _, e := range allEngines[1:] {
-		c := buildEngineCPU(t, e, prog)
-		cErr := c.Run(maxInsts)
-
+		c := build(t, e.engine)
+		cErr := e.run(c, maxInsts)
 		if a, b := snap(ref), snap(c); a != b {
 			t.Fatalf("engines diverged:\n%s: %+v\n%s: %+v", allEngines[0], a, e, b)
 		}
@@ -71,8 +96,15 @@ func runBothEngines(t *testing.T, prog []isa.Inst, maxInsts uint64) (snapshot, e
 	return snap(ref), refErr
 }
 
+// runAllEngines executes the program under every arm and asserts
+// bit-identical final state and identical error shape.
+func runAllEngines(t *testing.T, prog []isa.Inst, maxInsts uint64) (snapshot, error) {
+	t.Helper()
+	return diffEngines(t, maxInsts, func(t *testing.T, e Engine) *CPU { return buildEngineCPU(t, e, prog) })
+}
+
 func TestEnginesAgreeOnStraightLineCode(t *testing.T) {
-	_, err := runBothEngines(t, []isa.Inst{
+	_, err := runAllEngines(t, []isa.Inst{
 		{Op: isa.MOVRI, R1: isa.RAX, Imm: 10},
 		{Op: isa.MOVRI, R1: isa.RBX, Imm: int64(mem.DataBase)},
 		{Op: isa.STORE, R1: isa.RAX, Base: isa.RBX, Disp: 8},
@@ -99,7 +131,7 @@ func TestEnginesAgreeOnBranchyLoop(t *testing.T) {
 	back := isa.Inst{Op: isa.JNE}
 	back.Disp = int32(-(body[2].Len() + body[3].Len() + body[4].Len() + back.Len()))
 	prog := append(body, back, isa.Inst{Op: isa.HLT})
-	st, err := runBothEngines(t, prog, 10000)
+	st, err := runAllEngines(t, prog, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +141,7 @@ func TestEnginesAgreeOnBranchyLoop(t *testing.T) {
 }
 
 func TestEnginesAgreeOnCrash(t *testing.T) {
-	_, err := runBothEngines(t, []isa.Inst{
+	_, err := runAllEngines(t, []isa.Inst{
 		{Op: isa.MOVRI, R1: isa.RBX, Imm: 0x100}, // unmapped
 		{Op: isa.LOAD, R1: isa.RAX, Base: isa.RBX, Disp: 0},
 		{Op: isa.HLT},
@@ -123,7 +155,7 @@ func TestEnginesAgreeOnCrash(t *testing.T) {
 func TestEnginesAgreeOnFetchFault(t *testing.T) {
 	// Jump into unmapped memory: both engines must raise the same
 	// instruction-fetch fault, including the fault's window size.
-	_, err := runBothEngines(t, []isa.Inst{
+	_, err := runAllEngines(t, []isa.Inst{
 		{Op: isa.MOVRI, R1: isa.RAX, Imm: 0x100},
 		{Op: isa.CALLR, R1: isa.RAX},
 	}, 100)
@@ -137,15 +169,15 @@ func TestEnginesAgreeOnFetchFault(t *testing.T) {
 }
 
 func TestEnginesAgreeOnIllegalInstruction(t *testing.T) {
-	for _, e := range allEngines {
-		t.Run(e.String(), func(t *testing.T) {
+	for _, a := range allEngines {
+		t.Run(a.name, func(t *testing.T) {
 			sp := mem.NewSpace()
 			if _, err := sp.Map("text", mem.TextBase, 16, mem.PermRead|mem.PermExec); err != nil {
 				t.Fatal(err)
 			}
 			sp.Segment("text").Data[0] = 0xee
 			c := New(sp, rng.New(1))
-			c.Engine = e
+			c.Engine = a.engine
 			c.RIP = mem.TextBase
 			var crash *CrashError
 			if err := c.Step(); !errors.As(err, &crash) {
@@ -158,7 +190,7 @@ func TestEnginesAgreeOnIllegalInstruction(t *testing.T) {
 func TestEnginesAgreeOnBudgetExhaustion(t *testing.T) {
 	self := isa.Inst{Op: isa.JMP}
 	self.Disp = int32(-self.Len())
-	_, err := runBothEngines(t, []isa.Inst{self}, 50)
+	_, err := runAllEngines(t, []isa.Inst{self}, 50)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("budget kill does not wrap ErrBudget: %v", err)
 	}
@@ -166,7 +198,7 @@ func TestEnginesAgreeOnBudgetExhaustion(t *testing.T) {
 
 func TestPredecodedMidInstructionJump(t *testing.T) {
 	// Jump into the immediate bytes of a MOVRI. The interpreter decodes
-	// whatever is there; the predecoded engine must fall back and agree.
+	// whatever is there; the code cache must fall back and agree.
 	// The immediate encodes a valid NOP+HLT stream when executed.
 	imm := int64(isa.NOP) | int64(isa.NOP)<<8 | int64(isa.HLT)<<16 | int64(isa.NOP)<<24 |
 		int64(isa.NOP)<<32 | int64(isa.NOP)<<40 | int64(isa.NOP)<<48 | int64(isa.NOP)<<56
@@ -175,7 +207,7 @@ func TestPredecodedMidInstructionJump(t *testing.T) {
 	back := isa.Inst{Op: isa.JMP}
 	back.Disp = int32(-(mov.Len() + back.Len()) + 2)
 	prog := []isa.Inst{mov, back}
-	st, err := runBothEngines(t, prog, 100)
+	st, err := runAllEngines(t, prog, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +220,7 @@ func TestPredecodedResyncPastDataIsland(t *testing.T) {
 	// An undecodable data island embedded between two valid instruction
 	// runs: the linear predecode scan must resync one byte at a time and
 	// still cache the code after the island, and a jump over the island must
-	// execute identically under both engines.
+	// execute identically under every engine.
 	sp := mem.NewSpace()
 	if _, err := sp.Map("text", mem.TextBase, 0x100, mem.PermRead|mem.PermExec); err != nil {
 		t.Fatal(err)
@@ -216,12 +248,9 @@ func TestPredecodedResyncPastDataIsland(t *testing.T) {
 		}
 		return c
 	}
-	pre, itp, cmp := run(EnginePredecoded), run(EngineInterpreter), run(EngineCompiled)
+	pre, itp := run(EngineCompiled), run(EngineInterpreter)
 	if a, b := snap(pre), snap(itp); a != b {
-		t.Fatalf("engines diverged over data island:\npredecoded:  %+v\ninterpreter: %+v", a, b)
-	}
-	if a, b := snap(pre), snap(cmp); a != b {
-		t.Fatalf("engines diverged over data island:\npredecoded: %+v\ncompiled:   %+v", a, b)
+		t.Fatalf("engines diverged over data island:\ncompiled:    %+v\ninterpreter: %+v", a, b)
 	}
 	if pre.GPR[isa.RAX] != 7 {
 		t.Fatalf("rax = %d, want 7", pre.GPR[isa.RAX])
@@ -249,7 +278,7 @@ func TestColdOffsetFallbackMatchesDirectDecode(t *testing.T) {
 		{Op: isa.MOVRI, R1: isa.RAX, Imm: imm},
 		{Op: isa.HLT},
 	}
-	pre := buildEngineCPU(t, EnginePredecoded, prog)
+	pre := buildEngineCPU(t, EngineCompiled, prog)
 	if err := pre.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +304,7 @@ func TestColdOffsetFallbackMatchesDirectDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := snap(pre), snap(itp); a != b {
-		t.Fatalf("cold-offset fallback diverged:\npredecoded:  %+v\ninterpreter: %+v", a, b)
+		t.Fatalf("cold-offset fallback diverged:\ncompiled:    %+v\ninterpreter: %+v", a, b)
 	}
 	if got := len(sc.insts); got != before {
 		t.Fatalf("cold-offset execution grew the shared cache: %d -> %d insts", before, got)
@@ -388,12 +417,12 @@ func TestForkedCPUSharesCodeCache(t *testing.T) {
 		{Op: isa.MOVRI, R1: isa.RAX, Imm: 7},
 		{Op: isa.HLT},
 	}
-	parent := buildEngineCPU(t, EnginePredecoded, prog)
+	parent := buildEngineCPU(t, EngineCompiled, prog)
 	if err := parent.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	if parent.code == nil {
-		t.Fatal("predecoded run did not build a code cache")
+		t.Fatal("compiled run did not build a code cache")
 	}
 
 	// Model the kernel's fork: copy the CPU, rebind to the cloned space.
@@ -429,7 +458,7 @@ func TestPredecodedStepLoopDoesNotAllocate(t *testing.T) {
 	}
 	back := isa.Inst{Op: isa.JMP}
 	back.Disp = int32(-(body[1].Len() + body[2].Len() + body[3].Len() + back.Len()))
-	c := buildEngineCPU(t, EnginePredecoded, append(body, back))
+	c := buildEngineCPU(t, EngineCompiled, append(body, back))
 	if err := c.Run(64); err != nil { // warm the cache
 		if !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
@@ -443,6 +472,6 @@ func TestPredecodedStepLoopDoesNotAllocate(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("predecoded step loop allocates %.1f times per 100 steps, want 0", allocs)
+		t.Fatalf("compiled step loop allocates %.1f times per 100 steps, want 0", allocs)
 	}
 }

@@ -81,9 +81,8 @@ type CPU struct {
 	Insts uint64
 
 	// Engine selects the execution engine. The zero value is
-	// EnginePredecoded; set EngineInterpreter for the legacy
-	// fetch-decode-each-step path or EngineCompiled for the block-lowered
-	// tier. Fork clones it with the CPU.
+	// EngineCompiled; set EngineInterpreter for the reference
+	// fetch-decode-each-step path. Fork clones it with the CPU.
 	Engine Engine
 
 	Mem  *mem.Space
@@ -99,7 +98,7 @@ type CPU struct {
 	halted bool
 
 	// code is the decode-once cache; forked children share it because fork
-	// copies the CPU struct wholesale. Lazily allocated on first predecoded
+	// copies the CPU struct wholesale. Lazily allocated on first compiled
 	// fetch, so the interpreter engine pays nothing for it.
 	code *CodeCache
 	// curSeg/curGen/curCode short-circuit the per-step segment lookup while
@@ -122,7 +121,7 @@ type CPU struct {
 }
 
 // New returns a CPU bound to the given memory and entropy source, running
-// the default (predecoded) engine.
+// the default (compiled) engine.
 func New(m *mem.Space, r *rng.Source) *CPU {
 	return &CPU{Mem: m, Rand: r}
 }
@@ -167,8 +166,8 @@ func (c *CPU) Step() error {
 	}
 	var in isa.Inst
 	var n int
-	// The compiled engine's single-step fallback rides the predecoded fetch:
-	// identical cache, identical fault shaping.
+	// The compiled engine's per-step path fetches through the code cache
+	// the block tier lowers from: identical decode, identical fault shaping.
 	if c.Engine != EngineInterpreter {
 		var err error
 		in, n, err = c.fetchPredecoded()
@@ -438,6 +437,12 @@ func (c *CPU) RunContext(ctx context.Context, maxInsts uint64) error {
 	if c.Engine == EngineCompiled && c.tracer == nil && c.CostModel == nil {
 		return c.runCompiled(ctx, maxInsts)
 	}
+	return c.runSteps(ctx, maxInsts)
+}
+
+// runSteps is RunContext's per-step loop: one Step per instruction under
+// either engine.
+func (c *CPU) runSteps(ctx context.Context, maxInsts uint64) error {
 	done := ctx.Done()
 	for i := uint64(0); i < maxInsts; i++ {
 		if done != nil && i&cancelCheckMask == 0 {

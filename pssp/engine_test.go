@@ -4,16 +4,42 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/pssp"
 )
 
-// engines is the full three-engine differential matrix. Index 0 is the
-// reference the others are compared against.
-var engines = pssp.Engines()
+// engineArm is one column of the differential matrix: an engine plus the
+// options that select how it dispatches.
+type engineArm struct {
+	name   string
+	engine pssp.Engine
+	// steps installs a statistics collector, whose per-instruction hook
+	// routes compiled runs through the per-step loop instead of the block
+	// dispatcher. Machine replicas drop it, so campaign and fuzz shards
+	// still run blocks.
+	steps bool
+}
+
+func (a engineArm) String() string { return a.name }
+
+// opts returns the arm's machine options.
+func (a engineArm) opts() []pssp.Option {
+	opts := []pssp.Option{pssp.WithEngine(a.engine)}
+	if a.steps {
+		opts = append(opts, pssp.WithStats(pssp.NewStats()))
+	}
+	return opts
+}
+
+// engines is the full differential matrix. Index 0 is the reference the
+// others are compared against.
+var engines = []engineArm{
+	{"interpreter", pssp.EngineInterpreter, false},
+	{"compiled", pssp.EngineCompiled, false},
+	{"compiled-per-step", pssp.EngineCompiled, true},
+}
 
 // TestEngineGoldenBatch runs the batch program under every engine for every
 // scheme and asserts bit-identical results: exit code, output bytes, and the
@@ -29,7 +55,7 @@ func TestEngineGoldenBatch(t *testing.T) {
 			}
 			got := make([]outcome, len(engines))
 			for i, e := range engines {
-				m := pssp.NewMachine(pssp.WithSeed(7), pssp.WithEngine(e))
+				m := pssp.NewMachine(append(e.opts(), pssp.WithSeed(7))...)
 				res, err := m.Pipeline().Compile(batchProg(), pssp.CompileScheme(scheme)).Run(ctx)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
@@ -64,12 +90,11 @@ func TestEngineGoldenAttack(t *testing.T) {
 			}
 			got := make([]outcome, len(engines))
 			for i, e := range engines {
-				m := pssp.NewMachine(
+				m := pssp.NewMachine(append(e.opts(),
 					pssp.WithSeed(2018),
 					pssp.WithScheme(scheme),
-					pssp.WithEngine(e),
 					pssp.WithAttackBudget(3000),
-				)
+				)...)
 				srv, err := m.Pipeline().CompileApp("nginx-vuln").Serve(ctx)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
@@ -93,7 +118,9 @@ func TestEngineGoldenAttack(t *testing.T) {
 
 // TestEngineGoldenTables regenerates every paper table under every engine
 // with a scaled-down config and asserts the machine-readable values are
-// identical, key for key.
+// identical, key for key. The drivers build their machines from
+// harness.Config, which selects an engine but no dispatch loop, so the
+// per-step arm is left out.
 func TestEngineGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-table golden comparison is not -short")
@@ -109,12 +136,19 @@ func TestEngineGoldenTables(t *testing.T) {
 		{"table5", func(c harness.Config) (*harness.Table, error) { return harness.Table5(c, false) }},
 	}
 	cfg := harness.Config{Seed: 2018, WebRequests: 4, DBQueries: 2, AttackBudget: 600}
+	var blockArms []engineArm
+	for _, e := range engines {
+		if !e.steps {
+			blockArms = append(blockArms, e)
+		}
+	}
+	engines := blockArms
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
 			vals := make([]map[string]float64, len(engines))
 			for i, e := range engines {
 				c := cfg
-				c.Engine = e
+				c.Engine = e.engine
 				tab, err := d.run(c)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
@@ -148,7 +182,7 @@ func TestEngineGoldenFuzz(t *testing.T) {
 	ctx := context.Background()
 	reports := make([][]byte, len(engines))
 	for i, e := range engines {
-		m := pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemeSSP), pssp.WithEngine(e))
+		m := pssp.NewMachine(append(e.opts(), pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemeSSP))...)
 		img, err := m.CompileApp("nginx-vuln")
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
@@ -176,8 +210,8 @@ func TestEngineGoldenFuzz(t *testing.T) {
 func TestEngineBudgetClassification(t *testing.T) {
 	ctx := context.Background()
 	for _, e := range engines {
-		t.Run(fmt.Sprint(e), func(t *testing.T) {
-			m := pssp.NewMachine(pssp.WithEngine(e), pssp.WithMaxInstructions(2000))
+		t.Run(e.name, func(t *testing.T) {
+			m := pssp.NewMachine(append(e.opts(), pssp.WithMaxInstructions(2000))...)
 			_, err := m.Pipeline().Compile(spinProg()).Run(ctx)
 			if !errors.Is(err, pssp.ErrCrash) || !errors.Is(err, pssp.ErrBudgetExhausted) {
 				t.Fatalf("budget kill = %v, want ErrCrash and ErrBudgetExhausted", err)
@@ -186,32 +220,5 @@ func TestEngineBudgetClassification(t *testing.T) {
 				t.Fatal("budget kill must not match ErrCanaryDetected")
 			}
 		})
-	}
-}
-
-// TestParseEngine pins the engine-name parsing contract: every canonical
-// name round-trips (case-insensitively), and unknown names get an error
-// enumerating all engines, core.ParseScheme-style.
-func TestParseEngine(t *testing.T) {
-	for _, e := range pssp.Engines() {
-		got, err := pssp.ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
-		}
-		got, err = pssp.ParseEngine("  " + e.String() + " ")
-		if err != nil || got != e {
-			t.Fatalf("ParseEngine with whitespace = %v, %v; want %v", got, err, e)
-		}
-	}
-	if got, err := pssp.ParseEngine("Compiled"); err != nil || got != pssp.EngineCompiled {
-		t.Fatalf("ParseEngine(\"Compiled\") = %v, %v; want EngineCompiled", got, err)
-	}
-	_, err := pssp.ParseEngine("jit")
-	if err == nil {
-		t.Fatal("ParseEngine(\"jit\") succeeded, want error")
-	}
-	want := `pssp: unknown engine "jit" (engines: interpreter, predecoded, compiled)`
-	if err.Error() != want {
-		t.Fatalf("error = %q, want %q", err.Error(), want)
 	}
 }

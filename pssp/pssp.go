@@ -31,9 +31,7 @@
 package pssp
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/kernel"
@@ -46,54 +44,19 @@ type Engine = vm.Engine
 
 // Execution engines.
 const (
-	// EnginePredecoded is the default decode-once engine: each executable
-	// segment is predecoded into a code cache that forked workers share
-	// read-only, and the step loop dispatches over predecoded instructions.
-	EnginePredecoded = vm.EnginePredecoded
-	// EngineInterpreter is the legacy fetch–decode–execute interpreter,
-	// kept selectable for differential testing: all engines produce
-	// bit-identical results, cycle counts, and attack outcomes.
-	EngineInterpreter = vm.EngineInterpreter
-	// EngineCompiled is the block-lowered tier: predecoded segments are
+	// EngineCompiled is the default: each executable segment is predecoded
+	// once into a code cache that forked workers share read-only, then
 	// lazily lowered into basic blocks of flat micro-ops with fused
 	// canary-sequence superinstructions, cached segment-view memory access,
-	// and block-level budget/coverage accounting. Fastest engine; outputs
-	// stay bit-identical to the other two (traps, cold offsets and
-	// self-modified code fall back to the per-step path).
+	// and block-level budget/coverage accounting. Traps, cold offsets,
+	// self-modified code and instrumented runs fall back to a per-step path
+	// over the same cache.
 	EngineCompiled = vm.EngineCompiled
+	// EngineInterpreter is the fetch–decode–execute interpreter, kept as
+	// the reference for differential testing: both engines produce
+	// bit-identical results, cycle counts, and attack outcomes.
+	EngineInterpreter = vm.EngineInterpreter
 )
-
-// Engines returns every execution engine, slowest first. The order is part
-// of the API: differential tests iterate it, and ParseEngine's error text
-// enumerates it.
-func Engines() []Engine {
-	return []Engine{EngineInterpreter, EnginePredecoded, EngineCompiled}
-}
-
-// EngineNames returns the parseable names of every engine, in Engines()
-// order.
-func EngineNames() []string {
-	es := Engines()
-	names := make([]string, len(es))
-	for i, e := range es {
-		names[i] = e.String()
-	}
-	return names
-}
-
-// ParseEngine resolves an engine name ("interpreter", "predecoded",
-// "compiled") case-insensitively, ignoring surrounding whitespace. Unknown
-// names produce an error enumerating every accepted name.
-func ParseEngine(name string) (Engine, error) {
-	n := strings.ToLower(strings.TrimSpace(name))
-	for _, e := range Engines() {
-		if e.String() == n {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("pssp: unknown engine %q (engines: %s)",
-		name, strings.Join(EngineNames(), ", "))
-}
 
 // CycleModel selects how the VM accounts cycles per instruction.
 type CycleModel uint8
@@ -150,9 +113,8 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 
 // WithEngine selects the execution engine for every process the machine
-// runs. The default is EnginePredecoded; EngineCompiled is the fast
-// block-lowered tier and EngineInterpreter the legacy reference path — for
-// a fixed seed all three engines produce identical outputs,
+// runs. The default is EngineCompiled; EngineInterpreter is the reference
+// path — for a fixed seed both engines produce identical outputs,
 // instruction/cycle counts, attack outcomes, and fuzz reports.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 

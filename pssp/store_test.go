@@ -17,7 +17,7 @@ import (
 func TestStoreHitBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, e := range engines {
-		t.Run(e.String(), func(t *testing.T) {
+		t.Run(e.name, func(t *testing.T) {
 			dir := t.TempDir()
 
 			type outcome struct {
@@ -28,7 +28,7 @@ func TestStoreHitBitIdentity(t *testing.T) {
 			}
 			boot := func(st *pssp.Store) outcome {
 				t.Helper()
-				opts := []pssp.Option{pssp.WithSeed(7), pssp.WithEngine(e), pssp.WithScheme(pssp.SchemePSSP)}
+				opts := append(e.opts(), pssp.WithSeed(7), pssp.WithScheme(pssp.SchemePSSP))
 				if st != nil {
 					opts = append(opts, pssp.WithStore(st))
 				}

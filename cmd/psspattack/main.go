@@ -25,33 +25,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
-	"repro/pssp"
 )
 
-func strategyHelp() string {
-	var b strings.Builder
-	b.WriteString("adversary strategy:")
-	for _, s := range pssp.AttackStrategies() {
-		fmt.Fprintf(&b, "\n    %-12s %s", s.Name, s.Description)
-	}
-	return b.String()
-}
-
 func main() {
+	build := cliutil.AttackFlags(flag.CommandLine)
 	var (
-		target   = flag.String("target", "nginx-vuln", "nginx-vuln | ali-vuln")
-		scheme   = flag.String("scheme", "ssp", "protection scheme of the victim")
-		strategy = flag.String("strategy", "byte-by-byte", strategyHelp())
-		budget   = flag.Int("budget", 4096, "maximum trials per replication")
-		repeats  = flag.Int("repeats", 1, "independent campaign replications")
-		workers  = flag.Int("workers", 0, "concurrent oracle shards (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "emit one machine-readable JSON object")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
 		storeDir = flag.String("store", "", "content-addressed artifact store directory (local runs; empty = compile in-process)")
 		remote   = flag.String("remote", "", "run on a psspd daemon at this address (unix:/path or host:port)")
 		tenant   = flag.String("tenant", "", "tenant name for -remote (default \"default\")")
@@ -59,7 +42,7 @@ func main() {
 	flag.Parse()
 	fail := func(err error) { cliutil.Fail("psspattack", err) }
 
-	s, err := pssp.ParseScheme(*scheme)
+	job, err := build()
 	if err != nil {
 		fail(err)
 	}
@@ -70,17 +53,14 @@ func main() {
 	// One scenario for both routes: a remote run ships these params to a
 	// daemon job, a local run hands them to the same run function on an
 	// in-process executor built like the daemon's pooled machine.
-	params := daemon.AttackParams{
-		Target: *target, Scheme: s.String(), Strategy: *strategy,
-		Budget: *budget, Repeats: *repeats, Workers: *workers, Seed: *seed,
-	}
+	params := *job.Attack
 	if !*jsonOut {
 		where := ""
 		if *remote != "" {
 			where = " on " + *remote
 		}
 		fmt.Printf("attacking %s (scheme %s) with %s%s: %d replication(s), budget %d trials each...\n",
-			*target, s, *strategy, where, *repeats, *budget)
+			params.Target, params.Scheme, params.Strategy, where, params.Repeats, params.Budget)
 	}
 	var rep daemon.AttackReport
 	if *remote != "" {
@@ -89,7 +69,7 @@ func main() {
 		}
 	} else {
 		params = daemon.NormalizeAttackParams(params)
-		x, err := daemon.NewLocal(params.Target, s, params.Seed, *storeDir)
+		x, err := daemon.NewLocal(params.Target, params.Scheme, params.Seed, *storeDir)
 		if err != nil {
 			fail(err)
 		}
@@ -104,46 +84,5 @@ func main() {
 		}
 		return
 	}
-	printReport(rep)
-}
-
-// printReport renders the human output from the report shape shared with
-// the daemon, so local and remote campaigns print identically.
-func printReport(rep daemon.AttackReport) {
-	if rep.Canceled {
-		fmt.Printf("CANCELED after %d/%d replications; partial aggregate follows\n",
-			rep.Completed, rep.Replications)
-	}
-	if rep.Successes > 0 {
-		ts := rep.TrialsToSuccess
-		fmt.Printf("SUCCESS in %d/%d replications (rate %.2f, %d verified against the real canary)\n",
-			rep.Successes, rep.Completed, rep.SuccessRate, rep.Verified)
-		fmt.Printf("trials to success: min %.0f / median %.0f / p95 %.0f\n",
-			ts.Min, ts.Median, ts.P95)
-	} else {
-		fmt.Printf("FAILED in all %d replications within the %d-trial budget\n", rep.Completed, rep.Budget)
-	}
-	fmt.Printf("oracle calls %d, detection rate %.3f, victim cycles %d\n",
-		rep.OracleCalls, rep.DetectRate, rep.Cycles)
-	if rep.OracleErrors > 0 {
-		fmt.Printf("WARNING: %d replication(s) lost to oracle failures (first: %s)\n",
-			rep.OracleErrors, rep.OracleError)
-	}
-	for _, out := range rep.Outcomes {
-		state := "failed"
-		switch {
-		case out.Success && out.Verified:
-			state = "success"
-		case out.Success:
-			state = "UNVERIFIED" // survived, but the recovered word is not the canary
-		}
-		fmt.Printf("  rep %2d: %-10s trials %-5d", out.Rep, state, out.Trials)
-		if out.Restarts > 0 {
-			fmt.Printf(" restarts %d", out.Restarts)
-		}
-		if !out.Success && out.FailedAt >= 0 {
-			fmt.Printf(" stalled at byte %d", out.FailedAt)
-		}
-		fmt.Println()
-	}
+	cliutil.PrintReport(rep, job)
 }

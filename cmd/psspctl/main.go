@@ -6,13 +6,19 @@
 // the same explicit -seed, at any worker count, including runs where a
 // worker died mid-lease and its shards were re-issued.
 //
+// The job is a subcommand after psspctl's own flags: campaign, loadtest or
+// fuzz, followed by that kind's flags — the flag sets of psspattack,
+// psspload and psspfuzz (`psspctl fuzz -h` lists them), -workers there
+// meaning shard executors inside each worker process. The report prints
+// exactly as the kind's own CLI prints it.
+//
 // Three modes:
 //
 // One-shot — attach workers, run one job, print its report, exit:
 //
-//	psspctl -workers unix:/tmp/w0.sock,unix:/tmp/w1.sock -job campaign -target nginx-vuln -json
-//	psspctl -listen unix:/tmp/ctl.sock -min-workers 2 -job fuzz -execs 8192 -json
-//	psspctl -workers unix:/tmp/w0.sock -job loadtest -sweep 0.5,1,2,4 -json
+//	psspctl -workers unix:/tmp/w0.sock,unix:/tmp/w1.sock -json campaign -target nginx-vuln
+//	psspctl -listen unix:/tmp/ctl.sock -min-workers 2 -json fuzz -execs 8192
+//	psspctl -workers unix:/tmp/w0.sock -json loadtest -sweep 0.5,1,2,4
 //
 // Serve — a long-lived coordinator: workers register on -listen
 // (`psspd -worker -join`), and control clients submit jobs over the same
@@ -22,7 +28,7 @@
 //
 // Remote — drive a serving coordinator's control API:
 //
-//	psspctl -remote unix:/tmp/ctl.sock -submit -job fuzz -until-stall 3 -json
+//	psspctl -remote unix:/tmp/ctl.sock -submit fuzz -until-stall 3
 //	psspctl -remote unix:/tmp/ctl.sock -status
 //	psspctl -remote unix:/tmp/ctl.sock -aggregate -id 1 -json
 //	psspctl -remote unix:/tmp/ctl.sock -cancel -id 1
@@ -62,7 +68,6 @@ import (
 	"repro/internal/daemon/client"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/pssp"
 )
 
 func main() {
@@ -84,7 +89,7 @@ func main() {
 
 		// Remote control verbs.
 		remote    = flag.String("remote", "", "drive a serving coordinator at this address")
-		submit    = flag.Bool("submit", false, "submit the -job to the remote coordinator and print its id")
+		submit    = flag.Bool("submit", false, "submit the job named by the kind subcommand to the remote coordinator and print its id")
 		status    = flag.Bool("status", false, "list the remote coordinator's jobs (-id selects one)")
 		cancelJob = flag.Bool("cancel", false, "cancel the remote job named by -id")
 		aggregate = flag.Bool("aggregate", false, "fetch the merged report of the finished remote job named by -id")
@@ -92,37 +97,17 @@ func main() {
 		watch     = flag.Bool("watch", false, "live dashboard: redraw remote stats and metrics about once a second")
 		id        = flag.Uint64("id", 0, "job id for -status/-cancel/-aggregate")
 
-		// Job selection and the per-kind knobs, mirroring the original CLIs.
-		job     = flag.String("job", "", "campaign | loadtest | fuzz")
-		scheme  = flag.String("scheme", "", "protection scheme (default: ssp for campaign/fuzz, p-ssp for loadtest)")
-		seed    = flag.Uint64("seed", 1, "simulation seed (must be explicit and non-zero: leases re-execute under it)")
 		jsonOut = flag.Bool("json", false, "emit one machine-readable JSON object")
-
-		target     = flag.String("target", "nginx-vuln", "campaign: victim app")
-		strategy   = flag.String("strategy", "byte-by-byte", "campaign: adversary strategy")
-		budget     = flag.Int("budget", 4096, "campaign: maximum trials per replication")
-		repeats    = flag.Int("repeats", 1, "campaign: independent replications")
-		jobWorkers = flag.Int("job-workers", 0, "concurrent shard executors inside each worker process (0 = GOMAXPROCS; wall-clock only)")
-
-		app      = flag.String("app", "", "loadtest/fuzz: built-in server app (default: nginx for loadtest, nginx-vuln for fuzz)")
-		mixSpec  = flag.String("mix", "benign:1", "loadtest: traffic mix, e.g. 'benign:3,probe=adaptive:1'")
-		arrivals = flag.String("arrivals", "poisson", "loadtest: arrival model: poisson | uniform | closed")
-		rate     = flag.Float64("rate", 10, "loadtest: open-loop offered rate (requests per million victim cycles)")
-		clients  = flag.Int("clients", 8, "loadtest: closed-loop client population")
-		think    = flag.Float64("think", 0, "loadtest: closed-loop mean think time (cycles)")
-		requests = flag.Int("requests", 256, "loadtest: total request budget (0 = duration-bounded)")
-		duration = flag.Uint64("duration", 0, "loadtest: virtual-time horizon in cycles (0 = request-bounded)")
-		shards   = flag.Int("shards", 4, "loadtest/fuzz: shards of the scenario")
-		probes   = flag.Int("probe-budget", 64, "loadtest: probe trials per attack replication")
-		sweep    = flag.String("sweep", "", "loadtest: offered-load multipliers, e.g. '0.5,1,2,4'")
-
-		seedSpec = flag.String("seeds", "", "fuzz: seed corpus spec, e.g. 'GET /:2,PING'")
-		dict     = flag.String("dict", "", "fuzz: mutation dictionary spec")
-		execs    = flag.Int("execs", 4096, "fuzz: total mutation budget across shards")
-		maxIn    = flag.Int("max-input", 1024, "fuzz: generated input length cap in bytes")
-		corpus   = flag.String("corpus", "", "fuzz: persistent corpus directory on the coordinator (seeds the run; merged discoveries are folded back)")
-		stall    = flag.Int("until-stall", 0, "fuzz: continuous mode — rounds until the coverage frontier is unchanged this many consecutive rounds")
 	)
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), `usage: psspctl [flags] campaign|loadtest|fuzz [kind flags]
+       psspctl -serve -listen ADDR [flags]
+       psspctl -remote ADDR -submit campaign|loadtest|fuzz [kind flags]
+       psspctl -remote ADDR -status|-cancel|-aggregate|-stats|-watch [-id N]
+The kind flags are psspattack's, psspload's and psspfuzz's (psspctl KIND -h).
+`)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	fail := func(err error) { cliutil.Fail("psspctl", err) }
 
@@ -139,59 +124,21 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	// params maps the flag surface onto the fabric's submit shape — the
-	// same daemon wire params the original CLIs send, so normalization (and
-	// therefore the resolved scenario) is shared with them. The one-shot and
-	// -submit paths both build from it, so the two emit byte-identical jobs.
-	params := func() (fabric.SubmitParams, error) {
-		p := fabric.SubmitParams{Kind: *job, CorpusDir: *corpus, UntilStall: *stall}
-		switch *job {
-		case "campaign":
-			p.Attack = &daemon.AttackParams{
-				Target: *target, Scheme: *scheme, Strategy: *strategy,
-				Budget: *budget, Repeats: *repeats, Workers: *jobWorkers, Seed: *seed,
-			}
-		case "loadtest":
-			mix, err := cliutil.ParseMix(*mixSpec)
-			if err != nil {
-				return p, err
-			}
-			multipliers, err := cliutil.ParseSweep(*sweep)
-			if err != nil {
-				return p, err
-			}
-			p.Load = &daemon.LoadParams{
-				App: *app, Scheme: *scheme, Mix: mix, Arrivals: *arrivals,
-				Rate: *rate, Clients: *clients, ThinkCycles: *think,
-				Requests: *requests, DurationCycles: *duration,
-				Shards: *shards, Workers: *jobWorkers, Budget: *probes,
-				Sweep: multipliers, Seed: *seed,
-			}
-		case "fuzz":
-			seeds, err := cliutil.ParseByteItems(*seedSpec)
-			if err != nil {
-				return p, fmt.Errorf("seeds %w", err)
-			}
-			tokens, err := cliutil.ParseByteItems(*dict)
-			if err != nil {
-				return p, fmt.Errorf("dict %w", err)
-			}
-			p.Fuzz = &daemon.FuzzParams{
-				App: *app, Scheme: *scheme, Seeds: seeds, Dict: tokens,
-				Execs: *execs, Shards: *shards, Workers: *jobWorkers,
-				MaxInput: *maxIn, Seed: *seed,
-			}
-		default:
-			return p, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", *job)
+	// The kind subcommand names the job of a one-shot run or a -submit.
+	var job fabric.SubmitParams
+	if !*serve && (*remote == "" || *submit) {
+		if job, err = cliutil.ParseJob(flag.Args()); err != nil {
+			fail(err)
 		}
-		return p, nil
+	} else if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
 
 	if *remote != "" {
 		if err := runRemote(ctx, *remote, remoteArgs{
 			submit: *submit, status: *status, cancel: *cancelJob,
 			aggregate: *aggregate, stats: *stats, watch: *watch, id: *id, jsonOut: *jsonOut,
-			params: params,
+			job: job,
 		}); err != nil {
 			fail(err)
 		}
@@ -260,9 +207,6 @@ func main() {
 	}
 
 	// One-shot mode.
-	if *job == "" {
-		fail(fmt.Errorf("nothing to do: give -job campaign|loadtest|fuzz (or -serve, or a -remote verb)"))
-	}
 	if lis != nil {
 		go coord.Serve(ctx, lis)
 	}
@@ -277,11 +221,7 @@ func main() {
 		fail(err)
 	}
 
-	p, err := params()
-	if err != nil {
-		fail(err)
-	}
-	if err := runOneShot(ctx, coord, p, *jsonOut); err != nil {
+	if err := runOneShot(ctx, coord, job, *jsonOut); err != nil {
 		fail(err)
 	}
 	if logger.Enabled(cliutil.LevelDebug) {
@@ -295,7 +235,7 @@ func main() {
 }
 
 // runOneShot executes one fabric job on coord and emits its report in the
-// exact shape the matching original CLI emits.
+// exact shape, JSON or human, the kind's own CLI emits.
 func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitParams, jsonOut bool) error {
 	run, err := coord.Job(p)
 	if err != nil {
@@ -308,27 +248,7 @@ func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitP
 	if jsonOut {
 		return cliutil.EmitJSON(os.Stdout, res)
 	}
-	switch rep := res.(type) {
-	case daemon.AttackReport:
-		fmt.Printf("campaign %s: %d/%d successes (rate %.2f), %d oracle calls, detection rate %.3f\n",
-			rep.Target, rep.Successes, rep.Completed, rep.SuccessRate, rep.OracleCalls, rep.DetectRate)
-	case *pssp.LoadSweepReport:
-		for _, pt := range rep.Points {
-			fmt.Printf("sweep x%-5g offered %.3f achieved %.3f goodput %.3f/Mcycle\n",
-				pt.Multiplier, pt.Report.OfferedPerMcycle, pt.Report.AchievedPerMcycle, pt.Report.GoodputPerMcycle)
-		}
-		fmt.Printf("knee multiplier: x%g\n", rep.KneeMultiplier)
-	case *pssp.LoadReport:
-		fmt.Printf("loadtest %s: %d ok / %d requests, achieved %.3f/Mcycle, goodput %.3f/Mcycle\n",
-			rep.Label, rep.OK, rep.Requests, rep.AchievedPerMcycle, rep.GoodputPerMcycle)
-	case daemon.FuzzResult:
-		fmt.Printf("fuzz %s: %d execs, %d edges (frontier %016x), corpus %d, %d finding(s)\n",
-			rep.Label, rep.Execs, rep.Edges, rep.CoverageHash, rep.CorpusSize, len(rep.Findings))
-		if sum := rep.UntilStall; sum != nil {
-			fmt.Printf("  continuous: frontier stalled after %d round(s), %d total execs\n",
-				sum.Rounds, sum.TotalExecs)
-		}
-	}
+	cliutil.PrintReport(res, p)
 	return nil
 }
 
@@ -338,7 +258,7 @@ type remoteArgs struct {
 
 	id      uint64
 	jsonOut bool
-	params  func() (fabric.SubmitParams, error)
+	job     fabric.SubmitParams
 }
 
 // runRemote drives a serving coordinator's control API.
@@ -353,12 +273,8 @@ func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 	case a.watch:
 		return runWatch(ctx, c, addr)
 	case a.submit:
-		p, err := a.params()
-		if err != nil {
-			return err
-		}
 		var res fabric.SubmitResult
-		if err := c.Call(ctx, "submit", p, &res); err != nil {
+		if err := c.Call(ctx, "submit", a.job, &res); err != nil {
 			return err
 		}
 		if a.jsonOut {

@@ -45,7 +45,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -85,35 +84,8 @@ func main() {
 	logger := cliutil.NewLogger("psspd", level)
 	client.SetDebugf(logger.Logf(cliutil.LevelDebug))
 
-	if *workerMode {
-		if *join == "" {
-			fail(fmt.Errorf("-worker requires -join: the coordinator address to register with"))
-		}
-		runWorker(*join, *name, *storeDir, *metrics, *drain, logger, daemon.Config{
-			Seed:        *seed,
-			MaxJobs:     *maxJobs,
-			MaxQueue:    *maxQueue,
-			TenantJobs:  *tenantJobs,
-			QuotaCycles: *quota,
-			PoolSize:    *poolSize,
-		}, fail)
-		return
-	}
-	if *join != "" {
-		fail(fmt.Errorf("-join requires -worker"))
-	}
-
-	network, target := "tcp", *listen
-	if strings.HasPrefix(*listen, "unix:") {
-		network, target = "unix", strings.TrimPrefix(*listen, "unix:")
-		// A stale socket file from a previous run would fail the bind.
-		os.Remove(target)
-	} else {
-		target = strings.TrimPrefix(target, "tcp:")
-	}
-	lis, err := net.Listen(network, target)
-	if err != nil {
-		fail(err)
+	if *workerMode != (*join != "") {
+		fail(fmt.Errorf("-worker and -join go together: a worker registers with the coordinator at -join"))
 	}
 
 	var st *pssp.Store
@@ -122,7 +94,6 @@ func main() {
 			fail(err)
 		}
 	}
-
 	d := daemon.New(daemon.Config{
 		Seed:        *seed,
 		MaxJobs:     *maxJobs,
@@ -145,19 +116,41 @@ func main() {
 		logger.Infof("metrics on http://%s/metrics", addr)
 	}
 
+	// The two modes differ only in what the daemon serves: a listener, or
+	// one joined connection to a coordinator.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	errc := make(chan error, 1)
-	go func() { errc <- d.Serve(lis) }()
-	logger.Infof("serving on %s (seed %d, %d job slots, pool %d)",
-		*listen, *seed, *maxJobs, *poolSize)
+	var sock string // the unix socket file to remove on exit
+	if *workerMode {
+		go func() { errc <- d.Worker(ctx, *join, *name) }()
+		logger.Infof("worker joining %s (seed %d, %d job slots, pool %d)",
+			*join, *seed, *maxJobs, *poolSize)
+	} else {
+		network, target := daemon.SplitAddr(*listen)
+		if network == "unix" {
+			// A stale socket file from a previous run would fail the bind.
+			sock = target
+			os.Remove(sock)
+		}
+		lis, err := net.Listen(network, target)
+		if err != nil {
+			fail(err)
+		}
+		go func() { errc <- d.Serve(lis) }()
+		logger.Infof("serving on %s (seed %d, %d job slots, pool %d)",
+			*listen, *seed, *maxJobs, *poolSize)
+	}
 
 	select {
 	case sig := <-sigs:
 		logger.Infof("%s, draining...", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		err := d.Shutdown(ctx)
 		cancel()
+		dctx, dcancel := context.WithTimeout(context.Background(), *drain)
+		err := d.Shutdown(dctx)
+		dcancel()
 		if st != nil {
 			ss := st.Stats()
 			logger.Infof("store %s: store_hits=%d store_misses=%d (mem %d, disk %d, corrupt %d)",
@@ -166,63 +159,8 @@ func main() {
 			// live address space aliases the store's mappings.
 			st.Close()
 		}
-		if network == "unix" {
-			os.Remove(target)
-		}
-		if err != nil {
-			fail(fmt.Errorf("drain: %w", err))
-		}
-	case err := <-errc:
-		if err != nil {
-			fail(err)
-		}
-	}
-}
-
-// runWorker is the -worker mode body: one daemon, no listener, a join loop
-// against the coordinator, and the same signal-drain exit as serve mode.
-func runWorker(join, name, storeDir, metrics string, drain time.Duration, logger *cliutil.Logger, cfg daemon.Config, fail func(error)) {
-	var st *pssp.Store
-	var err error
-	if storeDir != "" {
-		if st, err = pssp.OpenStore(storeDir); err != nil {
-			fail(err)
-		}
-		cfg.Store = st
-	}
-	d := daemon.New(cfg)
-	kernel.SetMetrics(d.Metrics())
-	workpool.SetMetrics(d.Metrics())
-	if metrics != "" {
-		addr, stop, err := obs.ListenAndServe(metrics, d.Metrics(), d.Recorder())
-		if err != nil {
-			fail(fmt.Errorf("metrics: %w", err))
-		}
-		defer stop()
-		logger.Infof("metrics on http://%s/metrics", addr)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- d.Worker(ctx, join, name) }()
-	logger.Infof("worker joining %s (seed %d, %d job slots, pool %d)",
-		join, cfg.Seed, cfg.MaxJobs, cfg.PoolSize)
-
-	select {
-	case sig := <-sigs:
-		logger.Infof("%s, draining...", sig)
-		cancel()
-		dctx, dcancel := context.WithTimeout(context.Background(), drain)
-		err := d.Shutdown(dctx)
-		dcancel()
-		if st != nil {
-			ss := st.Stats()
-			logger.Infof("store %s: store_hits=%d store_misses=%d (mem %d, disk %d, corrupt %d)",
-				storeDir, ss.Hits, ss.Misses, ss.MemHits, ss.DiskHits, ss.Corrupt)
-			st.Close()
+		if sock != "" {
+			os.Remove(sock)
 		}
 		if err != nil {
 			fail(fmt.Errorf("drain: %w", err))

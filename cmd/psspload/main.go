@@ -43,47 +43,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
-	"repro/pssp"
 )
-
-func us(cycles uint64) string {
-	return fmt.Sprintf("%.3f", float64(cycles)/pssp.CyclesPerMicrosecond)
-}
-
-func printReport(rep *pssp.LoadReport) {
-	fmt.Printf("%s: %s over %d shard(s)\n", rep.Label, rep.Arrivals, rep.Shards)
-	fmt.Printf("  requests %d (ok %d, crashes %d, detections %d), virtual duration %d cycles\n",
-		rep.Requests, rep.OK, rep.Crashes, rep.Detections, rep.DurationCycles)
-	fmt.Printf("  throughput: offered %.3f/Mcycle, achieved %.3f/Mcycle (efficiency %.3f), goodput %.3f/Mcycle\n",
-		rep.OfferedPerMcycle, rep.AchievedPerMcycle, rep.Efficiency(), rep.GoodputPerMcycle)
-	l := rep.Latency
-	fmt.Printf("  latency µs @3.5GHz: mean %.3f  p50 %s  p90 %s  p99 %s  p99.9 %s  max %s\n",
-		l.MeanCycles/pssp.CyclesPerMicrosecond, us(l.P50), us(l.P90), us(l.P99), us(l.P999), us(l.Max))
-	if rep.ProbeReplications > 0 {
-		fmt.Printf("  probes: %d attack replications completed, %d recovered the canary\n",
-			rep.ProbeReplications, rep.ProbeSuccesses)
-	}
-	for _, c := range rep.Classes {
-		fmt.Printf("  class %-12s %5d req, %4d crashes, %4d detections, p50 %s µs, p99 %s µs\n",
-			c.Name, c.Requests, c.Crashes, c.Detections, us(c.Latency.P50), us(c.Latency.P99))
-	}
-}
-
-func printSweep(sw *pssp.LoadSweepReport, app, arrivals string, s pssp.Scheme) {
-	fmt.Printf("sweep %s (%s, scheme %s): %d points\n", app, arrivals, s, len(sw.Points))
-	for _, pt := range sw.Points {
-		rep := pt.Report
-		fmt.Printf("  x%-5g offered %8.3f/Mcycle  achieved %8.3f/Mcycle  eff %.3f  p99 %s µs\n",
-			pt.Multiplier, rep.OfferedPerMcycle, rep.AchievedPerMcycle,
-			rep.Efficiency(), us(rep.Latency.P99))
-	}
-	if sw.KneeMultiplier > 0 {
-		fmt.Printf("saturation knee: x%g (largest multiplier with efficiency >= %.2f)\n",
-			sw.KneeMultiplier, pssp.KneeEfficiency)
-	} else {
-		fmt.Println("saturation knee: not located (closed loop, or all points past the knee)")
-	}
-}
 
 // smokeReport is the -smoke output: wall-clock job latency over real client
 // connections plus the daemon's pool/store effectiveness counters. Unlike
@@ -113,7 +73,7 @@ type smokeReport struct {
 // nconns real client connections: the first checkout builds the machine
 // cold, every later one should be a warm pool hit, so the p99 approximates
 // the daemon's warm dispatch floor over a real transport.
-func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, nconns int, jsonOut bool) error {
+func runSmoke(remote, tenant, app, scheme string, seed uint64, jobs, nconns int, jsonOut bool) error {
 	if nconns <= 0 {
 		nconns = 1
 	}
@@ -146,7 +106,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 					return
 				}
 				t0 := time.Now()
-				err := c.Call(ctx, "boot", daemon.BootParams{App: app, Scheme: s.String(), Seed: seed},
+				err := c.Call(ctx, "boot", daemon.BootParams{App: app, Scheme: scheme, Seed: seed},
 					nil, client.WithTenant(tenant))
 				durations[i] = time.Since(t0)
 				if err != nil {
@@ -172,7 +132,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 		return err
 	}
 	rep := smokeReport{
-		App: app, Scheme: s.String(), Seed: seed, Jobs: jobs, Conns: nconns,
+		App: app, Scheme: scheme, Seed: seed, Jobs: jobs, Conns: nconns,
 		P50Micros:     float64(quantile(0.50)) / float64(time.Microsecond),
 		P99Micros:     float64(quantile(0.99)) / float64(time.Microsecond),
 		MaxMicros:     float64(durations[jobs-1]) / float64(time.Microsecond),
@@ -187,7 +147,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 		return cliutil.EmitJSON(os.Stdout, rep)
 	}
 	fmt.Printf("smoke %s (scheme %s, seed %d): %d boot jobs over %d connection(s) in %.1f ms (%.0f jobs/s)\n",
-		app, s, seed, jobs, nconns, rep.ElapsedMicros/1000, rep.JobsPerSec)
+		app, scheme, seed, jobs, nconns, rep.ElapsedMicros/1000, rep.JobsPerSec)
 	fmt.Printf("  wall-clock job latency: p50 %.0f µs  p99 %.0f µs  max %.0f µs\n",
 		rep.P50Micros, rep.P99Micros, rep.MaxMicros)
 	fmt.Printf("  pool: %d hits / %d misses (hit rate %.3f), %d parked, %d images\n",
@@ -199,22 +159,9 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 }
 
 func main() {
+	build := cliutil.LoadFlags(flag.CommandLine)
 	var (
-		app      = flag.String("app", "nginx", "built-in server app to load (see pssp.Apps)")
-		scheme   = flag.String("scheme", "p-ssp", "protection scheme of the servers")
-		mixSpec  = flag.String("mix", "benign:1", "traffic mix, e.g. 'benign:3,probe=adaptive:1'")
-		arrivals = flag.String("arrivals", "poisson", "arrival model: poisson | uniform | closed")
-		rate     = flag.Float64("rate", 10, "open-loop offered rate (requests per million victim cycles)")
-		clients  = flag.Int("clients", 8, "closed-loop client population")
-		think    = flag.Float64("think", 0, "closed-loop mean think time (cycles)")
-		requests = flag.Int("requests", 256, "total request budget (0 = duration-bounded)")
-		duration = flag.Uint64("duration", 0, "virtual-time horizon in cycles (0 = request-bounded)")
-		shards   = flag.Int("shards", 4, "replica servers the clients shard over (part of the scenario)")
-		workers  = flag.Int("workers", 0, "concurrent shard executors (0 = GOMAXPROCS; wall-clock only)")
-		budget   = flag.Int("budget", 64, "probe trials per attack replication")
-		sweep    = flag.String("sweep", "", "offered-load multipliers, e.g. '0.5,1,2,4' (locates the saturation knee)")
 		jsonOut  = flag.Bool("json", false, "emit one machine-readable JSON object")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
 		storeDir = flag.String("store", "", "content-addressed artifact store directory (local runs; empty = compile in-process)")
 		remote   = flag.String("remote", "", "run on a psspd daemon at this address (unix:/path or host:port)")
 		tenant   = flag.String("tenant", "", "tenant name for -remote (default \"default\")")
@@ -224,15 +171,7 @@ func main() {
 	flag.Parse()
 	fail := func(err error) { cliutil.Fail("psspload", err) }
 
-	s, err := pssp.ParseScheme(*scheme)
-	if err != nil {
-		fail(err)
-	}
-	mix, err := cliutil.ParseMix(*mixSpec)
-	if err != nil {
-		fail(err)
-	}
-	multipliers, err := cliutil.ParseSweep(*sweep)
+	job, err := build()
 	if err != nil {
 		fail(err)
 	}
@@ -240,26 +179,20 @@ func main() {
 		fail(fmt.Errorf("-store applies to local runs; a psspd daemon manages its own store (psspd -store)"))
 	}
 
+	// One scenario for both routes: a remote run ships these params to a
+	// daemon job, a local run hands them to the same run function on an
+	// in-process executor built like the daemon's pooled machine.
+	params := *job.Load
 	if *smoke > 0 {
 		if *remote == "" {
 			fail(fmt.Errorf("-smoke requires -remote: it measures a live daemon over real connections"))
 		}
-		if err := runSmoke(*remote, *tenant, *app, s, *seed, *smoke, *conns, *jsonOut); err != nil {
+		if err := runSmoke(*remote, *tenant, params.App, params.Scheme, params.Seed, *smoke, *conns, *jsonOut); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	// One scenario for both routes: a remote run ships these params to a
-	// daemon job, a local run hands them to the same run function on an
-	// in-process executor built like the daemon's pooled machine.
-	params := daemon.LoadParams{
-		App: *app, Scheme: s.String(), Mix: mix, Arrivals: *arrivals,
-		Rate: *rate, Clients: *clients, ThinkCycles: *think,
-		Requests: *requests, DurationCycles: *duration,
-		Shards: *shards, Workers: *workers, Budget: *budget,
-		Sweep: multipliers, Seed: *seed,
-	}
 	var res daemon.LoadResult
 	if *remote != "" {
 		if err := client.Run(context.Background(), *remote, "loadtest", params, &res, client.WithTenant(*tenant)); err != nil {
@@ -270,7 +203,7 @@ func main() {
 		}
 	} else {
 		params = daemon.NormalizeLoadParams(params)
-		x, err := daemon.NewLocal(params.App, s, params.Seed, *storeDir)
+		x, err := daemon.NewLocal(params.App, params.Scheme, params.Seed, *storeDir)
 		if err != nil {
 			fail(err)
 		}
@@ -288,9 +221,5 @@ func main() {
 		}
 		return
 	}
-	if res.Sweep != nil {
-		printSweep(res.Sweep, *app, *arrivals, s)
-		return
-	}
-	printReport(res.Report)
+	cliutil.PrintReport(out, job)
 }

@@ -1,7 +1,7 @@
-// Package cliutil holds the small shared conventions of the cmd/ CLIs, so
-// they do not drift: one JSON report encoder (psspattack, psspbench and
-// psspload all emit machine-readable reports through it) and the common
-// fail-fast error exit.
+// Package cliutil holds the shared conventions of the cmd/ CLIs, so they
+// do not drift: each workload kind's flag set and human report (used by
+// its own CLI and by psspctl), one JSON report encoder, the spec parsers,
+// the stderr logger and the common fail-fast error exit.
 package cliutil
 
 import (

@@ -84,6 +84,10 @@ func TestParseByteItems(t *testing.T) {
 	if _, err := ParseByteItems("x:0"); err == nil {
 		t.Fatal("zero weight accepted")
 	}
+	// The empty-payload error names the offending item as written.
+	if _, err := ParseByteItems("GET /, :2"); err == nil || !strings.Contains(err.Error(), `":2"`) {
+		t.Fatalf(`empty-payload error %v does not name the item ":2"`, err)
+	}
 }
 
 func TestParseByteItemsLooseGrammar(t *testing.T) {

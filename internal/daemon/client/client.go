@@ -159,7 +159,7 @@ func (c *Client) Close() error {
 func (c *Client) readLoop() {
 	defer close(c.done)
 	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 64<<10), 8<<20)
+	sc.Buffer(make([]byte, 64<<10), daemon.MaxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

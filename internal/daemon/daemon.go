@@ -469,8 +469,10 @@ func badRequest(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBadRequest, fmt.Sprintf(format, args...))
 }
 
-// maxLine bounds one request line (fuzz corpora ride in requests).
-const maxLine = 8 << 20
+// MaxLine bounds one protocol line, in either direction and on every
+// connection that speaks the line protocol: daemon, client and fabric
+// coordinator alike (fuzz corpora ride in requests).
+const MaxLine = 8 << 20
 
 // serveConn runs one connection: a read loop dispatching each request into
 // its own goroutine, a per-connection cancel registry for the cancel
@@ -506,7 +508,7 @@ func (d *Daemon) serveStream(conn net.Conn, r io.Reader) {
 	defer reqWG.Wait()
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
+	sc.Buffer(make([]byte, 64<<10), MaxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

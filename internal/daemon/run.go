@@ -199,7 +199,11 @@ type Local struct {
 // NewLocal builds the in-process executor for app under (scheme, seed),
 // compiling through the artifact store at storeDir when set — on a machine
 // built like the psspd pool's, so a local run and a daemon job agree.
-func NewLocal(app string, s pssp.Scheme, seed uint64, storeDir string) (*Local, error) {
+func NewLocal(app, scheme string, seed uint64, storeDir string) (*Local, error) {
+	s, err := pssp.ParseScheme(scheme)
+	if err != nil {
+		return nil, err
+	}
 	x := &Local{}
 	if storeDir != "" {
 		st, err := pssp.OpenStore(storeDir)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/pssp"
 )
 
 // The coordinator's control plane speaks the daemon's line protocol
@@ -113,10 +112,6 @@ func (c *Coordinator) Serve(ctx context.Context, lis net.Listener) error {
 	}
 }
 
-// maxLine bounds one protocol line — the daemon's limit, since fuzz
-// corpora ride in requests — including a connection's first line.
-const maxLine = 8 << 20
-
 // handshakeTimeout bounds how long a fresh connection may take to send its
 // first line, so a silent peer cannot pin a goroutine forever.
 var handshakeTimeout = 10 * time.Second
@@ -125,7 +120,7 @@ var handshakeTimeout = 10 * time.Second
 // from a control client.
 func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
+	sc.Buffer(make([]byte, 64<<10), daemon.MaxLine)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	if !sc.Scan() {
 		// Silent past the deadline, an over-long line, or gone.
@@ -350,11 +345,7 @@ func (c *Coordinator) Job(p SubmitParams) (func(ctx context.Context) (any, error
 		if seed == 0 {
 			return nil, errSeed
 		}
-		s, err := pssp.ParseScheme(scheme)
-		if err != nil {
-			return nil, err
-		}
-		planner, err := daemon.NewLocal(app, s, seed, "")
+		planner, err := daemon.NewLocal(app, scheme, seed, "")
 		if err != nil {
 			return nil, err
 		}

@@ -184,15 +184,15 @@ func TestHandshakeDropsSilentPeer(t *testing.T) {
 
 func TestHandshakeBoundsFirstLine(t *testing.T) {
 	peer, done := serveOne(t)
-	// Stream past maxLine with no newline: the coordinator must hang up
+	// Stream past daemon.MaxLine with no newline: the coordinator must hang up
 	// instead of buffering the line without bound.
 	chunk := bytes.Repeat([]byte("x"), 64<<10)
 	var err error
-	for sent := 0; sent <= maxLine && err == nil; sent += len(chunk) {
+	for sent := 0; sent <= daemon.MaxLine && err == nil; sent += len(chunk) {
 		_, err = peer.Write(chunk)
 	}
 	if err == nil {
-		t.Fatalf("coordinator accepted a first line over %d bytes", maxLine)
+		t.Fatalf("coordinator accepted a first line over %d bytes", daemon.MaxLine)
 	}
 	waitDone(t, done, "an oversized first line")
 }

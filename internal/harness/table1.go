@@ -3,12 +3,12 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/workpool"
 	"repro/pssp"
 )
 
@@ -72,51 +72,28 @@ func Table1(cfg Config) (*Table, error) {
 		overhead      float64 // compiler overhead vs SSP (unused for SSP itself)
 	}
 	rows := make([]row, len(schemes))
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, s := range schemes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := func() (row, error) {
-				brop, correct, err := measureSecurityProfile(gctx, cfg, s)
-				if err != nil {
-					return row{}, fmt.Errorf("table1: %v: %w", s, err)
-				}
-				r := row{brop: brop, correct: correct}
-				if s != core.SchemeSSP {
-					cycles, err := specCycles(gctx, cfg, s)
-					if err != nil {
-						return row{}, err
-					}
-					var sum float64
-					for name, c := range cycles {
-						sum += overheadVs(c, baseline[name])
-					}
-					r.overhead = sum / float64(len(cycles))
-				}
-				return r, nil
-			}()
+	err = workpool.Run(ctx, len(schemes), len(schemes), func(ctx context.Context, i int) error {
+		s := schemes[i]
+		brop, correct, err := measureSecurityProfile(ctx, cfg, s)
+		if err != nil {
+			return fmt.Errorf("table1: %v: %w", s, err)
+		}
+		rows[i] = row{brop: brop, correct: correct}
+		if s != core.SchemeSSP {
+			cycles, err := specCycles(ctx, cfg, s)
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-				return
+				return err
 			}
-			rows[i] = r
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			var sum float64
+			for name, c := range cycles {
+				sum += overheadVs(c, baseline[name])
+			}
+			rows[i].overhead = sum / float64(len(cycles))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for i, s := range schemes {

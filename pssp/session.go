@@ -2,7 +2,8 @@ package pssp
 
 import (
 	"context"
-	"sync"
+
+	"repro/internal/workpool"
 )
 
 // Session is one independently running Machine with a stable identity
@@ -26,38 +27,17 @@ func (s *Session) Machine() *Machine { return s.m }
 // machine options by id; when nil, session i gets WithSeed(i+1) so the
 // sessions draw from distinct deterministic entropy streams.
 //
-// The first non-nil error cancels the context passed to every other
-// session's fn and is returned after all goroutines finish. Cancellation of
-// the parent ctx propagates the same way.
+// The sessions are the units of one workpool.Run with a worker each: the
+// first error cancels the context passed to every other session's fn and
+// is returned after all of them finish. A canceled parent ctx stops the
+// batch the same way and is returned as ctx.Err().
 func RunSessions(ctx context.Context, n int, optsFor func(id int) []Option, fn func(ctx context.Context, s *Session) error) error {
 	if optsFor == nil {
 		optsFor = func(id int) []Option {
 			return []Option{WithSeed(uint64(id) + 1)}
 		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 0; i < n; i++ {
-		s := &Session{id: i, m: NewMachine(optsFor(i)...)}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := fn(ctx, s); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return workpool.Run(ctx, n, n, func(ctx context.Context, id int) error {
+		return fn(ctx, &Session{id: id, m: NewMachine(optsFor(id)...)})
+	})
 }

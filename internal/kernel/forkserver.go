@@ -25,6 +25,9 @@ type ForkServer struct {
 	kernel *Kernel
 	parent *Process
 	closed bool
+	// spare is the last request's worker, dead and released: the next
+	// request forks into it instead of allocating a new process.
+	spare *Process
 
 	// Requests counts Handle calls; Crashes counts children that died.
 	Requests int
@@ -51,7 +54,8 @@ type Outcome struct {
 	// including output emitted before a crash, since on a real socket those
 	// bytes have already left the process. Detection *latency* is therefore
 	// observable: a check that fires only in the epilogue may leak a
-	// response computed from corrupted data first.
+	// response computed from corrupted data first. It is the caller's copy:
+	// later requests never change it.
 	Response []byte
 	// Cycles and Insts are the worker's execution cost for this request.
 	Cycles uint64
@@ -106,7 +110,8 @@ func (s *ForkServer) EnableCoverage() *vm.CovMap {
 // Coverage returns the installed edge map (nil until EnableCoverage).
 func (s *ForkServer) Coverage() *vm.CovMap { return s.parent.CPU.Coverage() }
 
-// Handle serves one request with a fresh child and reports its outcome.
+// Handle serves one request with a freshly forked child and reports its
+// outcome.
 func (s *ForkServer) Handle(req []byte) (Outcome, error) {
 	return s.HandleContext(context.Background(), req)
 }
@@ -115,13 +120,15 @@ func (s *ForkServer) Handle(req []byte) (Outcome, error) {
 // the ones still marked copy-on-write, whose only peers are this server's
 // dead single-shot workers — go back to the kernel's pool, so the next
 // server booted on the same kernel forks from recycled memory instead of
-// allocating. Subsequent Handle calls fail with ErrServerClosed; the
-// counters stay readable. Close is idempotent.
+// allocating. The kept worker shell is dropped. Subsequent Handle calls
+// fail with ErrServerClosed; the counters stay readable. Close is
+// idempotent.
 func (s *ForkServer) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
+	s.spare = nil
 	s.parent.Space.ReleaseAll()
 }
 
@@ -137,11 +144,18 @@ func (s *ForkServer) Parked() bool {
 
 // HandleContext is Handle with cancellation plumbed into the worker's run.
 // On cancellation the half-run child is discarded and ctx.Err() returned.
+//
+// The worker is forked into the previous request's dead worker (see
+// Kernel.forkInto), so the steady-state request allocates only what
+// escapes to the caller: the Response copy and, when the worker dies, its
+// crash error. A worker whose fork, delivery or run failed is never
+// recycled.
 func (s *ForkServer) HandleContext(ctx context.Context, req []byte) (Outcome, error) {
 	if s.closed {
 		return Outcome{}, ErrServerClosed
 	}
-	child, err := s.kernel.Fork(s.parent)
+	child, err := s.kernel.forkInto(s.spare, s.parent)
+	s.spare = nil
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -163,7 +177,9 @@ func (s *ForkServer) HandleContext(ctx context.Context, req []byte) (Outcome, er
 	s.TotalCycles += out.Cycles
 	s.TotalInsts += out.Insts
 
-	out.Response = child.Stdout
+	if len(child.Stdout) > 0 {
+		out.Response = append([]byte(nil), child.Stdout...)
+	}
 	switch st {
 	case StateExited:
 	case StateCrashed:
@@ -181,8 +197,9 @@ func (s *ForkServer) HandleContext(ctx context.Context, req []byte) (Outcome, er
 		}
 	}
 	// The single-shot worker is dead and the outcome fully copied out:
-	// recycle its materialized buffers so the next fork reuses them instead
-	// of allocating. Segments still shared with the parent are untouched.
+	// recycle its materialized buffers and keep its shell for the next
+	// fork. Segments still shared with the parent are untouched.
 	child.Space.Release()
+	s.spare = child
 	return out, nil
 }

@@ -94,12 +94,15 @@ type Process struct {
 
 	stdin    []byte
 	stdinOff int
-	pending  []byte // request delivered but not yet accepted
-	isChild  bool   // children get exactly one request, then accept returns 0
+	isChild  bool // children get exactly one request, then accept returns 0
+	// reqBuf owns the bytes of the last delivered request; a recycled
+	// process copies the next one into it. A fork hands the bytes to the
+	// child (stdin is shared), so forking drops the parent's ownership.
+	reqBuf []byte
 
-	rand *rng.Source
-	bin  *binfmt.Binary
-	sys  sysHandler // the process's syscall handler, embedded to avoid a per-fork allocation
+	rand rng.Source     // held by value: a recycled process reseeds it in place
+	bin  *binfmt.Binary // the program image
+	sys  sysHandler     // the process's syscall handler, embedded to avoid a per-fork allocation
 }
 
 // TLS returns the thread-local-storage view at the CPU's current FS base
@@ -118,11 +121,10 @@ func (p *Process) Deliver(req []byte) error {
 	if p.State != StateWaiting {
 		return fmt.Errorf("kernel: deliver to process %d in state %s", p.ID, p.State)
 	}
-	p.pending = append([]byte(nil), req...)
+	p.reqBuf = append(p.reqBuf[:0], req...)
 	// accept(2) already trapped; complete it by writing its return value.
-	p.stdin = p.pending
+	p.stdin = p.reqBuf
 	p.stdinOff = 0
-	p.pending = nil
 	p.CPU.GPR[isa.RAX] = uint64(len(p.stdin))
 	p.State = StateRunning
 	return nil
@@ -154,8 +156,8 @@ type Kernel struct {
 	// ready to be scheduled by the host via TakeSpawned.
 	spawned []*Process
 
-	// pool recycles large copy-on-write materialization buffers between the
-	// machine's short-lived fork-per-request workers.
+	// pool recycles the private segment buffers (TLS copies, stack copies)
+	// of the machine's short-lived fork-per-request workers.
 	pool *mem.BufPool
 }
 
@@ -240,12 +242,12 @@ func (k *Kernel) Spawn(app *binfmt.Binary, opts SpawnOpts) (*Process, error) {
 		Space:  sp,
 		State:  StateRunning,
 		Scheme: scheme,
-		rand:   k.rand.Fork(),
 		bin:    app,
 	}
+	k.rand.ForkInto(&p.rand)
 	k.nextPID++
 
-	cpu := vm.New(sp, p.rand)
+	cpu := vm.New(sp, &p.rand)
 	cpu.Engine = k.Engine
 	cpu.RIP = app.Entry
 	cpu.TSCBase = k.now
@@ -264,7 +266,7 @@ func (k *Kernel) Spawn(app *binfmt.Binary, opts SpawnOpts) (*Process, error) {
 // Fork clones a process: copy-on-write address-space clone (TLS included,
 // as fork(2) semantics require), CPU state, and stdin. It then applies the
 // scheme's fork hooks to the child only — the paper's wrapped fork() — and
-// returns the runnable child.
+// returns the new runnable child. Guest fork(2) calls land here.
 //
 // The clone is cheap by design: no segment bytes are copied until parent or
 // child writes to them, and the copied CPU state carries the parent's
@@ -277,32 +279,48 @@ func (k *Kernel) Spawn(app *binfmt.Binary, opts SpawnOpts) (*Process, error) {
 // request, its second returns 0 (shutdown), matching a fork-per-connection
 // worker.
 func (k *Kernel) Fork(parent *Process) (*Process, error) {
-	child := &Process{
-		ID:     k.nextPID,
-		Space:  parent.Space.Clone(),
-		State:  parent.State,
-		Scheme: parent.Scheme,
-		// stdin contents are never mutated in place (delivery replaces the
-		// slice wholesale), so the child aliases the parent's buffer and
-		// tracks its own read offset — fork(2)'s shared file description.
-		stdin:    parent.stdin,
-		stdinOff: parent.stdinOff,
-		isChild:  true,
-		rand:     parent.rand.Fork(),
-		bin:      parent.bin,
+	return k.forkInto(nil, parent)
+}
+
+// forkInto is the one fork implementation. A nil shell forks into a new
+// Process; otherwise shell is a dead, released single-shot worker whose
+// Process, CPU, entropy source, request and output buffers and address
+// space (see mem.Space.CloneInto) are reused, so the fork server's
+// steady-state request forks without allocating. Either way the child is
+// identical: same PID sequence, same entropy stream, same memory.
+func (k *Kernel) forkInto(shell, parent *Process) (*Process, error) {
+	child := shell
+	if child == nil {
+		child = &Process{Space: new(mem.Space), CPU: new(vm.CPU)}
 	}
+	parent.Space.CloneInto(child.Space)
+	child.ID = k.nextPID
+	child.State = parent.State
+	child.Scheme = parent.Scheme
+	child.ExitCode = 0
+	child.CrashReason = ""
+	child.CrashErr = nil
+	child.Stdout = child.Stdout[:0]
+	// stdin contents are never mutated in place while shared: the child
+	// aliases the parent's buffer and tracks its own read offset — fork(2)'s
+	// shared file description — and the parent gives up reusing it.
+	child.stdin = parent.stdin
+	child.stdinOff = parent.stdinOff
+	parent.reqBuf = nil
+	child.isChild = true
+	parent.rand.ForkInto(&child.rand)
+	child.bin = parent.bin
 	k.nextPID++
 
-	cpu := new(vm.CPU)
+	cpu := child.CPU
 	*cpu = *parent.CPU // shares the code cache; engine and cost model carry over
 	cpu.SetMem(child.Space)
-	cpu.Rand = child.rand
+	cpu.Rand = &child.rand
 	// The child keeps reading machine time, not a replay of the parent's
 	// cycle count: TSC is global hardware state.
 	cpu.TSCBase = k.now - cpu.Cycles
 	child.sys = sysHandler{k: k, p: child}
 	cpu.Sys = &child.sys
-	child.CPU = cpu
 
 	if err := applyForkHooks(child); err != nil {
 		return nil, fmt.Errorf("kernel: fork hooks: %w", err)
@@ -392,11 +410,11 @@ func (h *sysHandler) Syscall(cpu *vm.CPU, nr, a1, a2, a3 uint64) (uint64, error)
 		if a1 != 1 {
 			return a3, nil
 		}
-		b, err := cpu.Mem.Read(a2, int(a3))
+		out, err := cpu.Mem.AppendRead(p.Stdout, a2, int(a3))
 		if err != nil {
 			return 0, &vm.CrashError{RIP: cpu.RIP, Reason: "write from bad buffer", Cause: err}
 		}
-		p.Stdout = append(p.Stdout, b...)
+		p.Stdout = out
 		return a3, nil
 
 	case abi.SysGetPID:
@@ -412,12 +430,6 @@ func (h *sysHandler) Syscall(cpu *vm.CPU, nr, a1, a2, a3 uint64) (uint64, error)
 		return uint64(child.ID), nil
 
 	case abi.SysAccept:
-		if p.pending != nil {
-			p.stdin = p.pending
-			p.stdinOff = 0
-			p.pending = nil
-			return uint64(len(p.stdin)), nil
-		}
 		if p.isChild {
 			// Fork-per-connection worker: one request per child.
 			return 0, nil

@@ -728,3 +728,48 @@ func TestForkServerCloseRecyclesIntoNextBoot(t *testing.T) {
 		t.Fatalf("close/boot cycle allocates %.0f, no-close cycle %.0f — Close is not recycling", warm, leaky)
 	}
 }
+
+// badWriteProg writes 4 bytes of .data to stdout, then asks write(2) for
+// an impossible length (-1 as a signed count) from the same buffer.
+const badWriteProg = `
+_start:
+	movi $1, %rax
+	movi $1, %rdi
+	movi $0x600000, %rsi
+	movi $4, %rdx
+	syscall
+	movi $1, %rax
+	movi $1, %rdi
+	movi $0x600000, %rsi
+	movi $0, %rdx
+	subi $1, %rdx
+	syscall
+	movi $60, %rax
+	syscall
+`
+
+// TestSysWriteAppendsAndFaults: write(2) appends the guest bytes to Stdout
+// and a bad buffer crashes the writer with the very fault a read of that
+// range raises — checked before any output buffer is sized from the
+// guest's length.
+func TestSysWriteAppendsAndFaults(t *testing.T) {
+	k := New(19)
+	p, err := k.Spawn(buildStatic(t, badWriteProg, "none"), SpawnOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := k.Run(p); st != StateCrashed {
+		t.Fatalf("state %s, want crashed", st)
+	}
+	if !bytes.Equal(p.Stdout, []byte{0, 0, 0, 0}) {
+		t.Fatalf("stdout % x, want the 4 bytes written before the fault", p.Stdout)
+	}
+	if !strings.Contains(p.CrashReason, "write from bad buffer") {
+		t.Fatalf("crash reason %q", p.CrashReason)
+	}
+	_, want := p.Space.Read(mem.DataBase, -1)
+	var fault *mem.Fault
+	if !errors.As(p.CrashErr, &fault) || want == nil || fault.Error() != want.Error() {
+		t.Fatalf("crash cause %v, want the read fault %v", p.CrashErr, want)
+	}
+}

@@ -24,7 +24,7 @@ import (
 // applyStartupHooks is the constructor: seed the TLS canary C and the shadow
 // pair, initialize per-scheme runtime state.
 func applyStartupHooks(p *Process) error {
-	if err := p.TLS().Seed(p.rand); err != nil {
+	if err := p.TLS().Seed(&p.rand); err != nil {
 		return err
 	}
 	switch p.Scheme {
@@ -32,7 +32,7 @@ func applyStartupHooks(p *Process) error {
 		// The constructor generates the 128-bit AES key and parks it in the
 		// reserved callee-save registers r12/r13 (the paper's global
 		// register variables). It never touches overflowable memory.
-		key := core.NewOWFKey(p.rand)
+		key := core.NewOWFKey(&p.rand)
 		p.CPU.GPR[isa.R13] = key.Lo
 		p.CPU.GPR[isa.R12] = key.Hi
 	case core.SchemeDCR:
@@ -55,7 +55,7 @@ func applyForkHooks(child *Process) error {
 		// The paper's core move: refresh the *shadow* pair, leave the TLS
 		// canary C untouched. Inherited frames still verify; new frames use
 		// an independent pair.
-		return child.TLS().RefreshShadow(child.rand)
+		return child.TLS().RefreshShadow(&child.rand)
 
 	case core.SchemeRAFSSP:
 		// Renew-after-fork: replace C itself. Deliberately reproduces the

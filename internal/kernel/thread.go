@@ -50,12 +50,12 @@ func (k *Kernel) SpawnThread(proc *Process, entry string, tid int) (*Process, er
 		Space:  proc.Space, // shared — this is what makes it a thread
 		State:  StateRunning,
 		Scheme: proc.Scheme,
-		rand:   proc.rand.Fork(),
 		bin:    proc.bin,
 	}
+	proc.rand.ForkInto(&t.rand)
 	k.nextPID++
 
-	cpu := vm.New(proc.Space, t.rand)
+	cpu := vm.New(proc.Space, &t.rand)
 	cpu.Engine = proc.CPU.Engine
 	cpu.RIP = sym.Addr
 	cpu.TSCBase = k.now
@@ -88,7 +88,7 @@ func (k *Kernel) SpawnThread(proc *Process, entry string, tid int) (*Process, er
 		return nil, err
 	}
 	// ...and the wrapped pthread_create refreshes only the shadow state.
-	if err := newTLS.RefreshShadow(t.rand); err != nil {
+	if err := newTLS.RefreshShadow(&t.rand); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -179,9 +179,9 @@ func (s *Segment) ensureAll() {
 // backing is materialized into a private copy — eagerly for small or
 // executable segments, chunk by chunk for large ones — and content changes
 // to executable bytes bump the generation so decode caches resync. pool may
-// be nil; when set it supplies recycled buffers (contents irrelevant: the
-// eager path overwrites everything and the lazy path fills before any
-// read).
+// be nil; when set it supplies the private copy of every non-executable
+// segment (contents irrelevant: the eager path overwrites everything and
+// the lazy path fills before any read).
 func (s *Segment) prepareWrite(pool *BufPool, off uint64, size int) {
 	if s.cow {
 		if len(s.Data) >= cowLazyMin && s.Perm&PermExec == 0 {
@@ -200,8 +200,16 @@ func (s *Segment) prepareWrite(pool *BufPool, off uint64, size int) {
 		} else {
 			// Small or executable segment: the copy is cheaper than the
 			// bookkeeping, and exec segments must stay contiguous-valid for
-			// the decode caches (which read Data wholesale).
-			d := make([]byte, len(s.Data))
+			// the decode caches (which read Data wholesale). Small data
+			// segments — the TLS block every P-SSP fork refreshes — copy
+			// into a pooled buffer; exec segments never touch the pool,
+			// because decode caches key on their backing identity.
+			var d []byte
+			if s.Perm&PermExec == 0 {
+				d = pool.get(len(s.Data))
+			} else {
+				d = make([]byte, len(s.Data))
+			}
 			copy(d, s.Data)
 			s.Data = d
 		}
@@ -229,10 +237,12 @@ func (s *Segment) CopyIn(off int, p []byte) error {
 	return nil
 }
 
-// BufPool recycles large materialization buffers between short-lived forked
-// children of one simulated machine. It is deliberately not thread-safe:
-// a machine drives all of its spaces from one goroutine, and distinct
-// machines get distinct pools.
+// BufPool recycles private segment buffers between short-lived forked
+// children of one simulated machine: the eager copy of a small segment (the
+// TLS block a P-SSP fork refreshes) and the lazily filled copy of a large
+// one (the stack) alike. Executable and externally backed bytes never enter
+// it. It is deliberately not thread-safe: a machine drives all of its
+// spaces from one goroutine, and distinct machines get distinct pools.
 type BufPool struct {
 	bufs [][]byte
 }
@@ -240,20 +250,39 @@ type BufPool struct {
 // poolMax bounds the buffers a pool retains.
 const poolMax = 16
 
-// get returns a pooled buffer of length n, or a fresh one. Pooled buffers
-// come back dirty; callers must overwrite (eager copy) or fill-before-read
-// (lazy chunks) every byte they expose.
+// get returns take(n), or a fresh buffer when the pool has none.
 func (p *BufPool) get(n int) []byte {
-	if p != nil {
-		for i, b := range p.bufs {
-			if cap(b) >= n {
-				p.bufs[i] = p.bufs[len(p.bufs)-1]
-				p.bufs = p.bufs[:len(p.bufs)-1]
-				return b[:n]
-			}
-		}
+	if b := p.take(n); b != nil {
+		return b
 	}
 	return make([]byte, n)
+}
+
+// take removes the smallest pooled buffer that holds n bytes and returns
+// it resliced to length n, or returns nil. Best fit keeps a 4 KiB TLS copy
+// from taking a 256 KiB stack buffer the next materialization would then
+// have to allocate again. Pooled buffers come back dirty; callers must
+// overwrite (eager copy), clear (Map) or fill-before-read (lazy chunks)
+// every byte they expose.
+func (p *BufPool) take(n int) []byte {
+	if p == nil {
+		return nil
+	}
+	best := -1
+	for i, b := range p.bufs {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(p.bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := p.bufs[best]
+	last := len(p.bufs) - 1
+	p.bufs[best] = p.bufs[last]
+	p.bufs[last] = nil
+	p.bufs = p.bufs[:last]
+	return b[:n]
 }
 
 // put returns a buffer to the pool.
@@ -280,9 +309,13 @@ type Space struct {
 	// heavily (stack, then text, then data), so this single entry removes
 	// the binary search from almost every load/store/fetch.
 	last *Segment
-	// pool, when non-nil, supplies and reclaims large materialization
-	// buffers (see SetPool/Release). Clones inherit it.
+	// pool, when non-nil, supplies and reclaims private segment buffers
+	// (see SetPool/Release). Clones inherit it.
 	pool *BufPool
+	// hdrs backs the segment headers of a cloned space. Release keeps it
+	// (and the segs slice) so CloneInto can rebuild a dead worker's space
+	// in place without allocating.
+	hdrs []Segment
 	// epoch counts sharing-topology changes: Clone (segments become
 	// copy-on-write), Map, Release and ReleaseAll. Execution tiers that
 	// cache direct segment views (View) key them to the epoch and drop
@@ -295,9 +328,9 @@ type Space struct {
 // at an earlier epoch must be discarded.
 func (sp *Space) Epoch() uint64 { return sp.epoch }
 
-// SetPool attaches a materialization buffer pool to the space. The kernel
-// gives every process space its machine-wide pool so fork-per-request
-// workers recycle their stack buffers instead of allocating fresh ones.
+// SetPool attaches a segment buffer pool to the space. The kernel gives
+// every process space its machine-wide pool so fork-per-request workers
+// recycle their TLS and stack copies instead of allocating fresh ones.
 func (sp *Space) SetPool(p *BufPool) { sp.pool = p }
 
 // NewSpace returns an empty address space.
@@ -318,17 +351,18 @@ func (sp *Space) Map(name string, base uint64, size int, perm Perm) (*Segment, e
 				name, base, s.Name, s.Base, s.End())
 		}
 	}
-	// Large non-executable segments draw on the pool — this is how a closed
+	// Non-executable segments draw on the pool — this is how a closed
 	// server's stack reaches the next boot on the same machine. Pooled
 	// buffers come back dirty, and Map guarantees zeroed memory (program
 	// behaviour must never depend on pool history), so recycled buffers are
 	// cleared: an O(size) clear against a saved allocation, the same trade
-	// make itself pays.
+	// make itself pays. A fresh buffer is already zero.
 	var data []byte
-	if size >= cowLazyMin && perm&PermExec == 0 {
-		data = sp.pool.get(size)
+	if perm&PermExec == 0 {
+		data = sp.pool.take(size)
 		clear(data)
-	} else {
+	}
+	if data == nil {
 		data = make([]byte, size)
 	}
 	seg := &Segment{Name: name, Base: base, Perm: perm, Data: data}
@@ -440,6 +474,19 @@ func (sp *Space) Read(addr uint64, size int) ([]byte, error) {
 	out := make([]byte, size)
 	copy(out, seg.Data[off:off+uint64(size)])
 	return out, nil
+}
+
+// AppendRead appends the size bytes at addr to dst and returns the extended
+// slice, allocating only when dst lacks the capacity. The access is checked
+// before dst grows, so a bad range faults exactly as Read(addr, size) does
+// and never sizes an allocation.
+func (sp *Space) AppendRead(dst []byte, addr uint64, size int) ([]byte, error) {
+	seg, err := sp.readable(addr, size)
+	if err != nil {
+		return dst, err
+	}
+	off := addr - seg.Base
+	return append(dst, seg.Data[off:off+uint64(size)]...), nil
 }
 
 // ReadInto copies len(dst) bytes at addr into dst without allocating.
@@ -580,22 +627,42 @@ func (sp *Space) View(addr uint64) (data []byte, base uint64, ok bool) {
 // materializes a private copy. A fork therefore costs O(segments written),
 // not O(address-space size).
 func (sp *Space) Clone() *Space {
-	out := &Space{segs: make([]*Segment, len(sp.segs)), pool: sp.pool}
+	out := new(Space)
+	sp.CloneInto(out)
+	return out
+}
+
+// CloneInto is Clone into an existing space, which must be empty (the zero
+// value) or released. It reuses dst's segment slice and header array, so
+// the fork server rebuilds its dead single-shot worker's space for the
+// next request without allocating: together with the pooled buffers that
+// worker's Release returned, a fork costs no heap allocation at all.
+func (sp *Space) CloneInto(dst *Space) {
+	n := len(sp.segs)
+	if cap(dst.hdrs) < n {
+		dst.hdrs = make([]Segment, n)
+	}
+	if cap(dst.segs) < n {
+		dst.segs = make([]*Segment, n)
+	}
+	// One backing array for all the child's segment headers: forks are the
+	// hot allocation site of the attack oracle loop.
+	headers, segs := dst.hdrs[:n], dst.segs[:n]
 	// Every parent segment flips to copy-on-write below, so any direct view
 	// of this space is now writable shared memory: retire them all.
 	sp.epoch++
-	// One backing array for all the child's segment headers: forks are the
-	// hot allocation site of the attack oracle loop.
-	headers := make([]Segment, len(sp.segs))
 	for i, s := range sp.segs {
 		// A half-materialized segment finishes its lazy fill first: the new
 		// sharing generation must start from one coherent backing array.
 		s.ensureAll()
 		s.cow = true
 		headers[i] = *s // shares Data, inherits cow=true and the generation
-		out.segs[i] = &headers[i]
+		segs[i] = &headers[i]
 	}
-	return out
+	dst.segs = segs
+	dst.last = nil
+	dst.pool = sp.pool
+	dst.epoch++
 }
 
 // CloneDeep returns an eager deep copy of the space — the pre-COW fork
@@ -612,25 +679,25 @@ func (sp *Space) CloneDeep() *Space {
 	return out
 }
 
-// Release returns the space's large private buffers to its pool and
-// renders the space unusable (subsequent accesses fault as unmapped). It is
-// only safe on a dead space: no process may reference it again, and
-// segments still copy-on-write shared with a live space are skipped, as are
-// executable segments (decode caches key on their backing identity). The
-// fork server releases each single-shot worker after its request, which
-// makes the steady-state oracle loop allocation-free for stack-sized
-// buffers.
+// Release returns the space's private buffers to its pool and renders the
+// space unusable (subsequent accesses fault as unmapped) until CloneInto
+// rebuilds it. It is only safe on a dead space: no process may reference it
+// again. Segments still copy-on-write shared with a live space are skipped,
+// as are executable segments (decode caches key on their backing
+// identity); everything else — the eagerly copied TLS block and the lazily
+// filled stack alike — is pooled. The fork server releases each
+// single-shot worker after its request, which makes the steady-state
+// oracle loop allocation-free for segment buffers.
 func (sp *Space) Release() {
 	sp.epoch++
 	for _, s := range sp.segs {
-		if s.cow || s.Perm&PermExec != 0 || len(s.Data) < cowLazyMin {
-			continue
+		if !s.cow && s.Perm&PermExec == 0 {
+			sp.pool.put(s.Data)
 		}
-		sp.pool.put(s.Data)
-		s.Data = nil
-		s.shadow = nil
+		*s = Segment{}
 	}
-	sp.segs = nil
+	clear(sp.segs)
+	sp.segs = sp.segs[:0]
 	sp.last = nil
 }
 
@@ -640,7 +707,8 @@ func (sp *Space) Release() {
 // parent whose single-shot children have all been released, which is how a
 // closed server hands its stack and data buffers to the next boot on the
 // same machine. Executable segments are still skipped (decode caches key on
-// their backing identity), as are small segments the pool would not retain.
+// their backing identity), as are segments below the lazy-materialization
+// size: the bounded pool keeps its slots for the large buffers a boot maps.
 func (sp *Space) ReleaseAll() {
 	sp.epoch++
 	for _, s := range sp.segs {

@@ -328,7 +328,15 @@ func TestCloneDeepMatchesClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	cow, deep := sp.Clone(), sp.CloneDeep()
-	for _, addr := range []uint64{0x4000, 0x4004} {
+	// CloneInto rebuilds a released worker in place: dirty it, release it,
+	// and it must come back byte-identical to a fresh Clone.
+	reused := sp.Clone()
+	if err := reused.Write(0x4000, []byte("stale worker")); err != nil {
+		t.Fatal(err)
+	}
+	reused.Release()
+	sp.CloneInto(reused)
+	for _, addr := range []uint64{0x1000, 0x4000, 0x4004, 0x4ff8} {
 		a, err := cow.ReadU64(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -340,9 +348,130 @@ func TestCloneDeepMatchesClone(t *testing.T) {
 		if a != b {
 			t.Fatalf("CloneDeep and Clone disagree at 0x%x: 0x%x vs 0x%x", addr, b, a)
 		}
+		c, err := reused.ReadU64(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != c {
+			t.Fatalf("CloneInto and Clone disagree at 0x%x: 0x%x vs 0x%x", addr, c, a)
+		}
 	}
 	if deep.Segment("data").Shared() {
 		t.Error("CloneDeep produced a shared segment")
+	}
+	if got, want := len(reused.Segments()), len(sp.Segments()); got != want {
+		t.Fatalf("CloneInto mapped %d segments, want %d", got, want)
+	}
+}
+
+// TestBufPoolBestFit: a TLS-sized request takes the TLS-sized buffer, not
+// the stack buffer the next stack materialization needs.
+func TestBufPoolBestFit(t *testing.T) {
+	pool := &BufPool{}
+	big, small := make([]byte, StackSize), make([]byte, TLSSize)
+	pool.put(big)
+	pool.put(small)
+	got := pool.get(TLSSize)
+	if &got[0] != &small[0] || len(got) != TLSSize {
+		t.Fatal("a 4 KiB get did not take the 4 KiB buffer")
+	}
+	if got := pool.get(StackSize); &got[0] != &big[0] {
+		t.Fatal("the stack buffer did not stay pooled for the stack")
+	}
+	if pool.Len() != 0 {
+		t.Fatalf("pool holds %d buffers, want 0", pool.Len())
+	}
+}
+
+// TestReleaseRecyclesSmallSegment: a worker's eagerly copied TLS block
+// goes back to the pool, and a later Map of that size — which takes the
+// dirty buffer — still reads all zeroes.
+func TestReleaseRecyclesSmallSegment(t *testing.T) {
+	pool := &BufPool{}
+	sp := NewSpace()
+	sp.SetPool(pool)
+	if _, err := sp.Map("tls", TLSBase, TLSSize, PermRead|PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	w := sp.Clone()
+	junk := bytes.Repeat([]byte{0xEE}, TLSSize)
+	if err := w.Write(TLSBase, junk); err != nil {
+		t.Fatal(err)
+	}
+	tls := w.Segment("tls").Data
+	w.Release()
+	if pool.Len() != 1 {
+		t.Fatalf("pool holds %d buffers after Release, want 1", pool.Len())
+	}
+	fresh := NewSpace()
+	fresh.SetPool(pool)
+	seg, err := fresh.Map("tls", TLSBase, TLSSize, PermRead|PermWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &seg.Data[0] != &tls[0] {
+		t.Fatal("Map did not take the recycled TLS buffer")
+	}
+	got, err := fresh.Read(TLSBase, TLSSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, TLSSize)) {
+		t.Fatal("Map over a recycled buffer is not zeroed")
+	}
+}
+
+// TestReleaseNeverPoolsExecOrShared: a worker's written executable
+// segment and its materialized copy of an externally backed one are
+// private, yet only the latter may be pooled — exec backing is a decode
+// cache key — and the external bytes themselves never are.
+func TestReleaseNeverPoolsExecOrShared(t *testing.T) {
+	pool := &BufPool{}
+	backing := sharedBacking(0x77)
+	sp := NewSpace()
+	sp.SetPool(pool)
+	if _, err := sp.Map("text", 0x1000, 0x1000, PermRead|PermWrite|PermExec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.MapShared("blob", 0x100000, backing, PermRead|PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	// A worker that only reads keeps every segment shared: nothing pooled.
+	w := sp.Clone()
+	if _, err := w.Read(0x100000, 1); err != nil {
+		t.Fatal(err)
+	}
+	w.Release()
+	if pool.Len() != 0 {
+		t.Fatalf("pool holds %d buffers from a read-only worker, want 0", pool.Len())
+	}
+	// A worker that writes both: the exec copy stays out, the blob's
+	// private copy goes in, and the backing is untouched throughout.
+	w = sp.Clone()
+	if err := w.Write(0x1000, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(0x100000, []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	w.Release()
+	if pool.Len() != 1 {
+		t.Fatalf("pool holds %d buffers, want 1 (the blob's private copy)", pool.Len())
+	}
+	for len(pool.bufs) > 0 {
+		if b := pool.get(1); &b[0] == &backing[0] {
+			t.Fatal("the external backing was pooled")
+		}
+	}
+	// The parent's own segments stay out of a Release as well.
+	sp.Release()
+	if pool.Len() != 0 {
+		t.Fatalf("pool holds %d buffers after releasing the parent, want 0", pool.Len())
+	}
+	for i, b := range backing {
+		if b != 0x77 {
+			t.Fatalf("backing byte %d = %#x, want 0x77", i, b)
+		}
 	}
 }
 
@@ -412,6 +541,36 @@ func TestSegmentsReturnsDefensiveCopy(t *testing.T) {
 	}
 	if got := len(sp.Segments()); got != 2 {
 		t.Fatalf("space has %d segments after caller mutation, want 2", got)
+	}
+}
+
+// TestAppendRead: bytes append to dst in place when it has room, and a bad
+// range faults exactly as Read does, leaving dst as it was.
+func TestAppendRead(t *testing.T) {
+	sp := newTestSpace(t)
+	if err := sp.Write(0x4020, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 16), "head-"...)
+	got, err := sp.AppendRead(dst, 0x4020, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "head-tail" || &got[0] != &dst[:1][0] {
+		t.Fatalf("AppendRead = %q (reallocated: %v)", got, &got[0] != &dst[:1][0])
+	}
+	for _, c := range []struct {
+		addr uint64
+		size int
+	}{{0x4ffc, 8}, {0x9000, 1}, {0x4000, -1}, {0x4000, 1 << 40}} {
+		_, want := sp.Read(c.addr, c.size)
+		out, err := sp.AppendRead(dst, c.addr, c.size)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("AppendRead(0x%x, %d) error %v, want Read's %v", c.addr, c.size, err, want)
+		}
+		if string(out) != "head-" {
+			t.Fatalf("AppendRead(0x%x, %d) changed dst to %q", c.addr, c.size, out)
+		}
 	}
 }
 

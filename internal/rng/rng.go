@@ -103,7 +103,20 @@ func (s *Source) Bytes(p []byte) {
 // used when a simulated process is forked so that parent and child draw from
 // unrelated streams, mirroring per-core hardware entropy.
 func (s *Source) Fork() *Source {
-	return New(s.Uint64() ^ 0xa5a5a5a5a5a5a5a5)
+	d := new(Source)
+	s.ForkInto(d)
+	return d
+}
+
+// ForkInto is Fork into an existing Source, which is reseeded in place:
+// after the call dst produces exactly the stream Fork would have returned.
+// Processes hold their Source by value, so a recycled process reseeds its
+// own instead of allocating a new one.
+func (s *Source) ForkInto(dst *Source) {
+	seed := s.Uint64() ^ 0xa5a5a5a5a5a5a5a5
+	dst.mu.Lock()
+	dst.state = seed
+	dst.mu.Unlock()
 }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo).

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -46,9 +47,17 @@ type CrashError struct {
 	Cause  error
 }
 
-// Error implements error.
+// Error implements error. It renders exactly what
+// fmt.Sprintf("vm: crash at rip=0x%x: %s", RIP, Reason) would, in one
+// allocation: the kernel formats every crash eagerly, and almost every
+// byte-by-byte trial against P-SSP crashes.
 func (e *CrashError) Error() string {
-	return fmt.Sprintf("vm: crash at rip=0x%x: %s", e.RIP, e.Reason)
+	var buf [96]byte
+	b := append(buf[:0], "vm: crash at rip=0x"...)
+	b = strconv.AppendUint(b, e.RIP, 16)
+	b = append(b, ": "...)
+	b = append(b, e.Reason...)
+	return string(b)
 }
 
 // Unwrap returns the underlying cause, if any.

@@ -6,6 +6,7 @@ import (
 	"crypto/aes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -532,5 +533,19 @@ func TestCostModelOverride(t *testing.T) {
 	run(t, c)
 	if c.Cycles != 200 {
 		t.Fatalf("flat-100 model: %d cycles for %d insts, want 200", c.Cycles, c.Insts)
+	}
+}
+
+// TestCrashErrorMessage pins CrashError.Error to the fmt rendering it
+// replaced, byte for byte: crash messages reach reports and triage keys.
+func TestCrashErrorMessage(t *testing.T) {
+	reasons := []string{"", "abort (stack smashing detected)", strings.Repeat("long reason ", 20)}
+	for _, rip := range []uint64{0, 0x400000, ^uint64(0)} {
+		for _, reason := range reasons {
+			e := &CrashError{RIP: rip, Reason: reason}
+			if got, want := e.Error(), fmt.Sprintf("vm: crash at rip=0x%x: %s", rip, reason); got != want {
+				t.Errorf("Error() = %q, want %q", got, want)
+			}
+		}
 	}
 }

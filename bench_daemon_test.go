@@ -62,8 +62,6 @@ func bootJob(b *testing.B, c *client.Client, tenant string, seed uint64) {
 // the compile+boot a one-shot CLI invocation pays. The acceptance bar is
 // dispatchwarm ≥10× cheaper than dispatchcold.
 func BenchmarkDaemonRequest(b *testing.B) {
-	// Sub-benchmark names stay dash-free: benchjson strips a trailing
-	// -N as the GOMAXPROCS suffix.
 	b.Run("warm1tenant", func(b *testing.B) {
 		c := benchDaemon(b, daemon.Config{MaxJobs: 4, PoolSize: 8})
 		bootJob(b, c, "t0", 2018) // pre-warm the pool entry

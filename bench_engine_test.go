@@ -6,8 +6,8 @@ package repro
 //
 //	go test -run '^$' -bench 'ForkClone|StepLoop|ForkServerRequest|Campaign|Loadgen|Fuzz' -benchmem .
 //
-// or via scripts/bench_engine.sh, which records the results in
-// BENCH_engine.json so the perf trajectory is tracked across PRs. The
+// BENCH_engine.json keeps earlier single-sample runs of them as frozen
+// history; perfbench/ is the repeated-sample timing harness. The
 // "deep" / "interpreter" sub-benchmarks measure the pre-refactor execution
 // model (eager fork copies, decode-each-step) on today's code, so every run
 // re-derives the speedup the default engine is expected to hold.
@@ -150,8 +150,6 @@ func BenchmarkLoadgen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Sub-benchmark names stay dash-free: benchjson strips a trailing
-	// -N as the GOMAXPROCS suffix.
 	for _, cfg := range []struct {
 		name    string
 		workers int
@@ -196,8 +194,7 @@ func BenchmarkFuzz(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Sub-benchmark names stay dash-free: benchjson strips a trailing
-	// -N as the GOMAXPROCS suffix. Both run the default engine.
+	// Both run the default engine.
 	for _, cfg := range []struct {
 		name    string
 		workers int
@@ -243,8 +240,7 @@ func BenchmarkCampaign(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Sub-benchmark names stay dash-free: benchjson strips a trailing
-	// -N as the GOMAXPROCS suffix. Both run the default engine.
+	// Both run the default engine.
 	for _, cfg := range []struct {
 		name    string
 		workers int

@@ -75,8 +75,6 @@ func runFabricCampaigns(b *testing.B, coord *fabric.Coordinator) {
 }
 
 // BenchmarkFabricCampaign measures the fabric against the bare engine.
-// Sub-benchmark names stay dash-free (benchjson strips a trailing -N as
-// the GOMAXPROCS suffix).
 func BenchmarkFabricCampaign(b *testing.B) {
 	b.Run("local1", func(b *testing.B) {
 		ctx := context.Background()

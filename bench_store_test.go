@@ -3,8 +3,7 @@ package repro
 // Micro-benchmark of the content-addressed artifact store (internal/store):
 // the cost of producing a bootable image cold (full compile from IR), from a
 // warm store's in-process tier, and from an mmap'd on-disk blob through a
-// fresh store handle — the daemon-restart / second-process path. Run via
-// scripts/bench_engine.sh, which records the results in BENCH_engine.json.
+// fresh store handle — the daemon-restart / second-process path.
 
 import (
 	"testing"

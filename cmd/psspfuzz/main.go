@@ -112,8 +112,8 @@ func main() {
 		x.Progress = events
 		res, err = daemon.RunFuzz(ctx, params, job.CorpusDir, job.UntilStall, x,
 			func(format string, args ...any) { fmt.Fprintf(os.Stderr, "psspfuzz: "+format+"\n", args...) })
-		if x.Store != nil {
-			ss := x.Store.Stats()
+		if st := x.M.Store(); st != nil {
+			ss := st.Stats()
 			fmt.Fprintf(os.Stderr, "psspfuzz: store: hits=%d misses=%d\n", ss.Hits, ss.Misses)
 		}
 		if err != nil {

@@ -162,8 +162,9 @@ func SourceBytes(prog *Program) []byte {
 // ConfigBytes returns the canonical encoding of every compile option that
 // affects emitted code — the "compiler pass config" field of the derivation
 // key. Defaults are resolved exactly as Compile resolves them, so an
-// explicit option and its default never split the cache. The scheme itself
-// is NOT included here: it is the derivation's own field.
+// explicit option and its default never split the cache. The scheme is the
+// derivation's own field; it appears here once more only in the slot that
+// named the embedded libc's scheme, so existing keys still match.
 func ConfigBytes(opts Options) []byte {
 	w := &deriveWriter{}
 	linkage := opts.Linkage
@@ -171,11 +172,7 @@ func ConfigBytes(opts Options) []byte {
 		linkage = abi.LinkDynamic
 	}
 	w.str(linkage)
-	libcScheme := opts.LibcScheme
-	if libcScheme == 0 {
-		libcScheme = opts.Scheme
-	}
-	w.str(libcScheme.String())
+	w.str(opts.Scheme.String())
 	w.bool(opts.CheckOnWrite)
 	// Dynamic linkage resolves externs against the libc image: its content
 	// is an input to the emitted code, so fold its hash in.

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/abi"
@@ -43,7 +44,6 @@ func TestDerivationKeySensitivity(t *testing.T) {
 		"check-on-write": func(_ *Program, o *Options) {
 			o.CheckOnWrite = true
 		},
-		"libc scheme": func(_ *Program, o *Options) { o.LibcScheme = core.SchemeNone },
 	}
 	for name, mutate := range mutations {
 		p, o := base()
@@ -51,14 +51,6 @@ func TestDerivationKeySensitivity(t *testing.T) {
 		if Derivation(p, o).Key() == baseKey {
 			t.Errorf("mutating %s did not change the derivation key", name)
 		}
-	}
-
-	// Defaults resolve before hashing: an explicit default must not split the
-	// cache from the implicit one.
-	p, o := base()
-	o.LibcScheme = o.Scheme
-	if Derivation(p, o).Key() != baseKey {
-		t.Error("explicit default LibcScheme changed the key")
 	}
 }
 
@@ -74,5 +66,34 @@ func TestCachedCompileNilStore(t *testing.T) {
 	}
 	if bin == nil {
 		t.Fatal("nil store returned nil binary")
+	}
+}
+
+// TestConfigBytesGolden pins the pass-config encoding byte for byte. Every
+// stored image is addressed by a key over these bytes, so any change to the
+// encoding orphans every blob already on disk; the relative checks above
+// would not notice.
+func TestConfigBytesGolden(t *testing.T) {
+	libc, err := BuildLibc(core.SchemeSSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		opts Options
+		want string
+	}{
+		// len "static", len "p-ssp" (the embedded libc's scheme), check-on-write.
+		{"static p-ssp", Options{Scheme: core.SchemePSSP, Linkage: abi.LinkStatic},
+			"0600000000000000" + "737461746963" + "0500000000000000" + "702d737370" + "00"},
+		// len "dynamic", len "ssp", check-on-write, sha256 of the libc image.
+		{"dynamic ssp", Options{Scheme: core.SchemeSSP, Linkage: abi.LinkDynamic, Libc: libc},
+			"0700000000000000" + "64796e616d6963" + "0300000000000000" + "737370" + "00" +
+				"92e9794eb8b4b4b8a7cd22be4d07b1f80b06acdcd0b8bc8374f4019a5e8aedf2"},
+	}
+	for _, c := range cases {
+		if got := hex.EncodeToString(ConfigBytes(c.opts)); got != c.want {
+			t.Errorf("%s: ConfigBytes = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

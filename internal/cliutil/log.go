@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -39,19 +38,11 @@ type Logger struct {
 	level Level
 
 	mu sync.Mutex
-	w  io.Writer
 }
 
 // NewLogger builds a logger writing "prog: msg" lines to stderr.
 func NewLogger(prog string, level Level) *Logger {
-	return &Logger{prog: prog, level: level, w: os.Stderr}
-}
-
-// SetOutput redirects the logger (tests).
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
+	return &Logger{prog: prog, level: level}
 }
 
 // Enabled reports whether lines at lv would be emitted.
@@ -63,7 +54,7 @@ func (l *Logger) emit(lv Level, format string, args ...any) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fmt.Fprintf(l.w, l.prog+": "+format+"\n", args...)
+	fmt.Fprintf(os.Stderr, l.prog+": "+format+"\n", args...)
 }
 
 // Errorf logs at error level (always emitted).

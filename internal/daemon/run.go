@@ -187,8 +187,6 @@ func RunFuzz(ctx context.Context, p FuzzParams, corpusDir string, stall int, x E
 type Local struct {
 	M   *pssp.Machine
 	Img *pssp.Image
-	// Store is the artifact store M compiles through (nil: none).
-	Store *pssp.Store
 	// Progress, when non-nil, receives the runs' progress tallies.
 	Progress func(ProgressEvent)
 	// Cycles accumulates the victim cycles of every shard run — a psspd
@@ -204,20 +202,16 @@ func NewLocal(app, scheme string, seed uint64, storeDir string) (*Local, error) 
 	if err != nil {
 		return nil, err
 	}
-	x := &Local{}
+	var st *pssp.Store
 	if storeDir != "" {
-		st, err := pssp.OpenStore(storeDir)
-		if err != nil {
+		if st, err = pssp.OpenStore(storeDir); err != nil {
 			return nil, err
 		}
-		x.Store = st
 	}
-	x.M = newMachine(s, seed, x.Store)
-	img, err := x.M.Pipeline().CompileApp(app).Image()
-	if err != nil {
+	x := &Local{M: newMachine(s, seed, st)}
+	if x.Img, err = x.M.Pipeline().CompileApp(app).Image(); err != nil {
 		return nil, err
 	}
-	x.Img = img
 	return x, nil
 }
 

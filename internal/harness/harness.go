@@ -15,10 +15,8 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/campaign"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/pssp"
 )
 
@@ -45,9 +43,6 @@ type Config struct {
 	// Workers bounds campaign concurrency (default: GOMAXPROCS). It scales
 	// wall-clock time only, never results.
 	Workers int
-	// SpecRuns averages each SPEC measurement over this many runs
-	// (default 1; measurements are deterministic per seed anyway).
-	SpecRuns int
 	// LoadRequests is the request budget of the under-load experiment
 	// (default 96); LoadClients its closed-loop client population
 	// (default 8). See UnderLoad.
@@ -83,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttackReps == 0 {
 		c.AttackReps = 2
-	}
-	if c.SpecRuns == 0 {
-		c.SpecRuns = 1
 	}
 	if c.LoadRequests == 0 {
 		c.LoadRequests = 96
@@ -244,39 +236,27 @@ func overheadVs(got, base uint64) float64 {
 	return float64(got)/float64(base) - 1
 }
 
-// serverStats measures the benign-load campaign of the paper's performance
-// tables: n replications of one request against the server image on machine
-// m, folded by the campaign engine into average request cycles plus the
-// worker memory footprint in bytes. The server is shared state, so the
-// campaign runs on a single worker — the request sequence (and therefore
-// every golden cycle count) is identical to the historical sequential loop.
+// serverStats measures the benign load of the paper's performance tables:
+// n requests, served one after another by one fork server for the image on
+// machine m, folded into the average request cycles plus the worker memory
+// footprint in bytes. A non-positive n still measures one request.
 func serverStats(ctx context.Context, m *pssp.Machine, img *pssp.Image, request []byte, n int) (float64, int, error) {
 	srv, err := m.Serve(ctx, img)
 	if err != nil {
 		return 0, 0, err
 	}
 	footprint := srv.Footprint()
-	agg, err := campaign.Run(ctx, campaign.Config{
-		Label:        "benign-load",
-		Replications: n,
-		Workers:      1, // shared fork server: replications must serialize
-	}, func(ctx context.Context, rep int, _ *rng.Source) (campaign.Outcome, error) {
+	n = max(n, 1)
+	var cycles uint64
+	for i := 0; i < n; i++ {
 		resp, err := srv.Handle(ctx, request)
 		if err != nil {
-			return campaign.Outcome{}, err
+			return 0, 0, err
 		}
 		if resp.Crashed() {
-			return campaign.Outcome{}, fmt.Errorf("harness: benign request crashed: %w", resp.Err)
+			return 0, 0, fmt.Errorf("harness: benign request crashed: %w", resp.Err)
 		}
-		return campaign.Outcome{
-			Success: true, FailedAt: -1,
-			OracleCalls: 1,
-			Cycles:      resp.Cycles, Insts: resp.Insts,
-			Mem: footprint,
-		}, nil
-	})
-	if err != nil {
-		return 0, 0, err
+		cycles += resp.Cycles
 	}
-	return agg.AvgCycles(), footprint, nil
+	return float64(cycles) / float64(n), footprint, nil
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/workpool"
 	"repro/pssp"
 )
@@ -117,10 +115,10 @@ func Table1(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// measureSecurityProfile runs the two security experiments for one scheme,
-// both as campaigns: a benign-load campaign on a shared server for the
-// correctness cell, and a replicated byte-by-byte attack campaign for the
-// BROP cell ("prevented" means no replication recovered a canary).
+// measureSecurityProfile runs the two security experiments for one scheme:
+// benign requests on one server for the correctness cell, and a replicated
+// byte-by-byte attack campaign for the BROP cell ("prevented" means no
+// replication recovered a canary).
 func measureSecurityProfile(ctx context.Context, cfg Config, s core.Scheme) (bropPrevented, correct bool, err error) {
 	target := apps.VulnServers()[0] // nginx-vuln
 	img, err := cfg.compileStatic(target.Prog, s)
@@ -129,27 +127,20 @@ func measureSecurityProfile(ctx context.Context, cfg Config, s core.Scheme) (bro
 	}
 
 	// Correctness: benign requests must survive the child's return through
-	// inherited frames. The server is shared, so the campaign serializes.
+	// inherited frames, served one after another by one server.
 	m := cfg.machine(pssp.WithSeed(cfg.Seed + 1))
 	srv, err := m.Serve(ctx, img)
 	if err != nil {
 		return false, false, err
 	}
-	benign, err := campaign.Run(ctx, campaign.Config{
-		Label:        "correctness",
-		Replications: 5,
-		Workers:      1,
-	}, func(ctx context.Context, rep int, _ *rng.Source) (campaign.Outcome, error) {
+	correct = true
+	for i := 0; i < 5; i++ {
 		resp, err := srv.Handle(ctx, target.Request)
 		if err != nil {
-			return campaign.Outcome{}, err
+			return false, false, err
 		}
-		return campaign.Outcome{Success: !resp.Crashed(), OracleCalls: 1, Cycles: resp.Cycles}, nil
-	})
-	if err != nil {
-		return false, false, err
+		correct = correct && !resp.Crashed()
 	}
-	correct = benign.Successes == benign.Completed
 
 	// BROP prevention: replicated byte-by-byte campaign against fresh
 	// victims derived from the attack machine's seed.

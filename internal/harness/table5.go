@@ -3,11 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 
-	"repro/internal/campaign"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/rng"
+	"repro/internal/workpool"
 )
 
 // probeProgram builds a minimal program whose main calls one protected
@@ -95,29 +95,25 @@ func Table5(cfg Config, sweep bool) (*Table, error) {
 		}
 	}
 
-	// The probes are independent measurements on private machines, so the
-	// campaign engine runs them as one sharded map: replication i measures
-	// probe i, and the outcomes come back in probe order at any worker
-	// count.
-	agg, err := campaign.Run(context.Background(), campaign.Config{
-		Label:        "table5-probes",
-		Replications: len(probes),
-		Workers:      cfg.Workers,
-		Seed:         cfg.Seed,
-	}, func(ctx context.Context, rep int, _ *rng.Source) (campaign.Outcome, error) {
-		d, err := prologueEpilogueDelta(cfg, probes[rep].scheme, probes[rep].criticals)
-		if err != nil {
-			return campaign.Outcome{}, err
-		}
-		return campaign.Outcome{Success: true, FailedAt: -1, Cycles: d}, nil
+	// The probes are independent measurements on private machines, so they
+	// run concurrently, each into its own slot, and the rows come out in
+	// probe order at any worker count.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cycles := make([]uint64, len(probes))
+	err := workpool.Run(context.Background(), len(probes), min(workers, len(probes)), func(ctx context.Context, i int) error {
+		d, err := prologueEpilogueDelta(cfg, probes[i].scheme, probes[i].criticals)
+		cycles[i] = d
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, out := range agg.Outcomes {
-		label := probes[out.Rep].label
-		t.Rows = append(t.Rows, []string{label, fmt.Sprintf("%d", out.Cycles)})
-		t.set(label, float64(out.Cycles))
+	for i, p := range probes {
+		t.Rows = append(t.Rows, []string{p.label, fmt.Sprintf("%d", cycles[i])})
+		t.set(p.label, float64(cycles[i]))
 	}
 	return t, nil
 }

@@ -313,7 +313,7 @@ func (k *Kernel) forkInto(shell, parent *Process) (*Process, error) {
 	k.nextPID++
 
 	cpu := child.CPU
-	*cpu = *parent.CPU // shares the code cache; engine and cost model carry over
+	*cpu = *parent.CPU // shares the code cache; the engine carries over
 	cpu.SetMem(child.Space)
 	cpu.Rand = &child.rand
 	// The child keeps reading machine time, not a replay of the parent's

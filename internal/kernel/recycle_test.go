@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/abi"
@@ -49,9 +50,9 @@ var smash = bytes.Repeat([]byte{0xee}, apps.VulnServerBufSize+8)
 // dead worker, so the fork itself allocates nothing; what remains is what
 // escapes to the caller — a crashed worker's error and its message, a
 // benign worker's response copy. The ceilings are a ratchet: each sits a
-// few allocations above the count measured when it was set (noted beside
-// it). Lower a ceiling when the path gets cheaper; never raise one to make
-// a change pass.
+// few allocations, and its bytes ceiling about one small allocation, above
+// what was measured when it was set (noted beside it). Lower a ceiling when
+// the path gets cheaper; never raise one to make a change pass.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
@@ -63,15 +64,18 @@ func TestAllocBudgets(t *testing.T) {
 		req    []byte
 		crash  bool
 		budget float64
+		bytes  float64
 	}{
-		// Measured 3: the response the worker wrote before its canary
-		// check fired, the CrashError, and its CrashReason string.
-		{"p-ssp crash", core.SchemePSSP, false, smash, true, 5},
-		// Measured 1: the Response copy.
-		{"ssp benign", core.SchemeSSP, false, nginxVuln(t).Request, false, 3},
-		// Measured 3: a 1 KiB fuzz input smashes the frame, so the same
-		// three as the P-SSP crash; coverage recording allocates nothing.
-		{"fuzz exec", core.SchemeSSP, true, bytes.Repeat([]byte{'A'}, 1024), true, 5},
+		// Measured 3 allocs, 120 B: the response the worker wrote before
+		// its canary check fired, the CrashError, and its CrashReason
+		// string.
+		{"p-ssp crash", core.SchemePSSP, false, smash, true, 5, 160},
+		// Measured 1 alloc, 8 B: the Response copy.
+		{"ssp benign", core.SchemeSSP, false, nginxVuln(t).Request, false, 3, 32},
+		// Measured 3 allocs, 144 B: a 1 KiB fuzz input smashes the frame,
+		// so the same three as the P-SSP crash; coverage recording
+		// allocates nothing.
+		{"fuzz exec", core.SchemeSSP, true, bytes.Repeat([]byte{'A'}, 1024), true, 5, 192},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -94,12 +98,31 @@ func TestAllocBudgets(t *testing.T) {
 			}
 			serve() // the first request allocates the worker and its buffers
 			got := testing.AllocsPerRun(200, serve)
-			t.Logf("%.1f allocs per request (budget %.0f)", got, c.budget)
+			gotBytes := bytesPerRun(200, serve)
+			t.Logf("%.1f allocs, %.0f B per request (budgets %.0f, %.0f B)", got, gotBytes, c.budget, c.bytes)
 			if got > c.budget {
 				t.Fatalf("%.1f allocs per request, budget %.0f", got, c.budget)
 			}
+			if gotBytes > c.bytes {
+				t.Fatalf("%.0f B per request, budget %.0f B", gotBytes, c.bytes)
+			}
 		})
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: the mean bytes
+// allocated per call of f over runs calls, after one warm-up call, with
+// GOMAXPROCS at 1 as AllocsPerRun sets it.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // outcomeCopy is a deep snapshot of an Outcome's caller-visible content.

@@ -98,11 +98,6 @@ type CPU struct {
 	Rand *rng.Source
 	Sys  Syscaller
 
-	// CostModel, when non-nil, overrides the calibrated per-opcode cycle
-	// table. Fork clones it with the rest of the CPU state, so a model set on
-	// a server parent applies to every worker it forks.
-	CostModel func(op isa.Op) uint64
-
 	tracer Tracer
 	halted bool
 
@@ -197,11 +192,7 @@ func (c *CPU) Step() error {
 	if c.tracer != nil {
 		c.tracer.Trace(c, in)
 	}
-	if c.CostModel != nil {
-		c.Cycles += c.CostModel(in.Op)
-	} else {
-		c.Cycles += in.Op.Cycles()
-	}
+	c.Cycles += in.Op.Cycles()
 	c.Insts++
 	return c.exec(in, next)
 }
@@ -440,10 +431,10 @@ const cancelCheckMask = 1023
 // resumable with another RunContext call — and ctx.Err() is returned.
 // Budget exhaustion returns a *CrashError wrapping ErrBudget.
 func (c *CPU) RunContext(ctx context.Context, maxInsts uint64) error {
-	// Instrumented runs (tracer or cost-model override) need the per-step
-	// loop: every observable hook fires per instruction there. The block
-	// dispatcher reproduces identical final state but not per-step hooks.
-	if c.Engine == EngineCompiled && c.tracer == nil && c.CostModel == nil {
+	// Traced runs need the per-step loop: the tracer fires per instruction
+	// there. The block dispatcher reproduces identical final state but not
+	// per-step hooks.
+	if c.Engine == EngineCompiled && c.tracer == nil {
 		return c.runCompiled(ctx, maxInsts)
 	}
 	return c.runSteps(ctx, maxInsts)

@@ -487,7 +487,7 @@ func TestTracerClearable(t *testing.T) {
 
 // TestRunContextCancellation drives the VM-level cancellation path: an
 // infinite loop is aborted by a cancelled context, leaving the CPU
-// resumable, and a cost model override changes cycle accounting.
+// resumable.
 func TestRunContextCancellation(t *testing.T) {
 	spin := []isa.Inst{
 		{Op: isa.MOVRI, R1: isa.RAX, Imm: 1},
@@ -519,20 +519,6 @@ func TestRunContextCancellation(t *testing.T) {
 	before := c2.Insts
 	if err := c2.RunContext(context.Background(), 10); err == nil || c2.Insts != before+10 {
 		t.Fatalf("resume after cancel: err=%v insts=%d want %d", err, c2.Insts, before+10)
-	}
-}
-
-// TestCostModelOverride checks the pluggable cycle model.
-func TestCostModelOverride(t *testing.T) {
-	prog := []isa.Inst{
-		{Op: isa.MOVRI, R1: isa.RAX, Imm: 7},
-		{Op: isa.HLT},
-	}
-	c := buildCPU(t, prog)
-	c.CostModel = func(isa.Op) uint64 { return 100 }
-	run(t, c)
-	if c.Cycles != 200 {
-		t.Fatalf("flat-100 model: %d cycles for %d insts, want 200", c.Cycles, c.Insts)
 	}
 }
 

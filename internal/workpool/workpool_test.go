@@ -44,54 +44,6 @@ func TestRunFatalErrorCancelsPool(t *testing.T) {
 	}
 }
 
-func TestWithProgressObservesEveryCompletion(t *testing.T) {
-	const units = 23
-	var (
-		mu    sync.Mutex
-		snaps []Snapshot
-	)
-	err := Run(context.Background(), units, 4, func(ctx context.Context, unit int) error {
-		return nil
-	}, WithProgress(func(s Snapshot) {
-		// The pool serializes callbacks, but keep the slice append safe
-		// against the test's own final read anyway.
-		mu.Lock()
-		snaps = append(snaps, s)
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != units {
-		t.Fatalf("got %d progress snapshots, want %d", len(snaps), units)
-	}
-	// Done is monotonically increasing 1..units because the pool serializes
-	// the callback under its completion lock.
-	for i, s := range snaps {
-		if s.Done != i+1 || s.Total != units {
-			t.Fatalf("snapshot %d = %+v, want Done=%d Total=%d", i, s, i+1, units)
-		}
-	}
-}
-
-func TestNilProgressPathAllocationFree(t *testing.T) {
-	// The progress hook is threaded through unconditionally; with no
-	// listener the per-unit cost must stay a nil check. Exercise the
-	// completion path with a single worker (no goroutine churn inside the
-	// measured region is impossible — Run spawns workers — so measure the
-	// delta against a progress-carrying run instead).
-	base := testing.AllocsPerRun(100, func() {
-		_ = Run(context.Background(), 4, 1, func(ctx context.Context, unit int) error { return nil })
-	})
-	withNil := testing.AllocsPerRun(100, func() {
-		var opts []Option
-		_ = Run(context.Background(), 4, 1, func(ctx context.Context, unit int) error { return nil }, opts...)
-	})
-	if withNil > base {
-		t.Fatalf("nil-progress run allocates more than baseline: %v > %v", withNil, base)
-	}
-}
-
 func TestShare(t *testing.T) {
 	for _, tc := range []struct {
 		total, n int

@@ -34,9 +34,6 @@ type LoadPlan = loadgen.Config
 // loadgen.Partial.
 type LoadPartial = loadgen.Partial
 
-// LoadSweepPoint is one offered-load step of a sweep; see loadgen.SweepPoint.
-type LoadSweepPoint = loadgen.SweepPoint
-
 // FuzzPlan is a fuzzing run's resolved engine configuration; see
 // fuzz.Config.
 type FuzzPlan = fuzz.Config

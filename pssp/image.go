@@ -166,7 +166,6 @@ type compileConfig struct {
 	scheme       Scheme
 	linkage      string
 	libc         *Image
-	libcScheme   Scheme
 	checkOnWrite bool
 }
 
@@ -182,12 +181,6 @@ func CompileScheme(s Scheme) CompileOption {
 // (build one with Machine.CompileLibc). The default is static linkage.
 func CompileDynamic(libc *Image) CompileOption {
 	return func(c *compileConfig) { c.linkage = abi.LinkDynamic; c.libc = libc }
-}
-
-// CompileLibcScheme selects the scheme of the embedded libc under static
-// linkage; the default is the app's scheme.
-func CompileLibcScheme(s Scheme) CompileOption {
-	return func(c *compileConfig) { c.libcScheme = s }
 }
 
 // CompileCheckOnWrite makes write-checking passes (P-SSP-LV) verify their
@@ -207,7 +200,6 @@ func (m *Machine) Compile(prog *cc.Program, opts ...CompileOption) (*Image, erro
 	ccOpts := cc.Options{
 		Scheme:       cfg.scheme,
 		Linkage:      cfg.linkage,
-		LibcScheme:   cfg.libcScheme,
 		CheckOnWrite: cfg.checkOnWrite,
 	}
 	if cfg.libc != nil {

@@ -185,9 +185,9 @@ func BenchmarkLoadgen(b *testing.B) {
 // BenchmarkFuzz measures the coverage-guided fuzzer's execution throughput
 // at 1 vs 4 shard executors: one op is a full fuzzing run of 256 mutations
 // against SSP-compiled nginx-vuln victims (4 shards, compile hoisted out) —
-// fork, coverage-instrumented request, per-request map scan, triage. The
-// execs/sec metric is the headline, and a fixed seed keeps the reports
-// bit-identical across both sub-benchmarks.
+// fork, coverage-instrumented request, merge of the touched edge buckets,
+// triage. The execs/sec metric is the headline, and a fixed seed keeps the
+// reports bit-identical across both sub-benchmarks.
 func BenchmarkFuzz(b *testing.B) {
 	ctx := context.Background()
 	img, err := pssp.NewMachine(pssp.WithScheme(pssp.SchemeSSP)).CompileApp("nginx-vuln")

@@ -51,14 +51,6 @@ func main() {
 	)
 	flag.Parse()
 
-	var st *pssp.Store
-	if *storeDir != "" {
-		var err error
-		if st, err = pssp.OpenStore(*storeDir); err != nil {
-			cliutil.Fail("psspbench", err)
-		}
-	}
-
 	cfg := harness.Config{
 		Seed:         *seed,
 		WebRequests:  *requests,
@@ -68,7 +60,15 @@ func main() {
 		Workers:      *workers,
 		LoadRequests: *loadRequests,
 		LoadClients:  *loadClients,
-		Store:        st,
+	}
+	if err := checkCounts(cfg); err != nil {
+		cliutil.Fail("psspbench", err)
+	}
+	if *storeDir != "" {
+		var err error
+		if cfg.Store, err = pssp.OpenStore(*storeDir); err != nil {
+			cliutil.Fail("psspbench", err)
+		}
 	}
 
 	type driver struct {
@@ -140,4 +140,29 @@ func main() {
 			cliutil.Fail("psspbench", err)
 		}
 	}
+}
+
+// checkCounts rejects scaling flags no experiment can honour. The harness
+// defaults only a zero count, so a negative one would run a single request
+// or query yet be printed as given in the tables' notes.
+func checkCounts(cfg harness.Config) error {
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{
+		{"requests", cfg.WebRequests},
+		{"queries", cfg.DBQueries},
+		{"budget", cfg.AttackBudget},
+		{"attack-reps", cfg.AttackReps},
+		{"load-requests", cfg.LoadRequests},
+		{"load-clients", cfg.LoadClients},
+	} {
+		if c.n <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", c.flag, c.n)
+		}
+	}
+	if cfg.Workers < 0 {
+		return fmt.Errorf("-workers must be 0 (GOMAXPROCS) or positive, got %d", cfg.Workers)
+	}
+	return nil
 }

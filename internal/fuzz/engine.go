@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -205,23 +206,17 @@ func bucket(n byte) byte {
 
 // mergeCov folds one execution's edge map into the shard's bucketed frontier
 // and reports how many new bucket bits it contributed — the corpus-admission
-// novelty signal. The word-at-a-time skip keeps the 64 KiB scan cheap
-// relative to the VM work behind each execution.
+// novelty signal. It walks only the buckets the execution touched — a
+// request hits a few hundred of the map's 64 Ki buckets — so its cost
+// follows the edges run, not the map size. The count and the resulting
+// frontier do not depend on the walk order.
 func mergeCov(virgin []byte, cov *vm.CovMap) int {
-	raw := cov.Bytes()
+	virgin = virgin[:vm.CovMapSize] // a uint16 index needs no bounds check
 	news := 0
-	for i := 0; i < len(raw); i += 8 {
-		if binary.LittleEndian.Uint64(raw[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if raw[j] == 0 {
-				continue
-			}
-			if b := bucket(raw[j]); virgin[j]&b == 0 {
-				virgin[j] |= b
-				news++
-			}
+	for _, i := range cov.Touched() {
+		if b := bucket(cov.Count(i)); virgin[i]&b == 0 {
+			virgin[i] |= b
+			news++
 		}
 	}
 	return news
@@ -392,7 +387,9 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 			continue
 		}
 		if news > 0 {
-			st.Corpus = append(st.Corpus, input)
+			// input is the mutator's reused buffer; triage copies what it
+			// keeps, and so does admission.
+			st.Corpus = append(st.Corpus, append([]byte(nil), input...))
 			mt.advance(0, 1, 0)
 		}
 	}
@@ -529,9 +526,7 @@ func merge(cfg Config, parts []*Partial) *Report {
 		rep.Crashes += st.Crashes
 		rep.Cycles += st.Cycles
 		rep.Insts += st.Insts
-		for i, v := range st.Virgin {
-			union[i] |= v
-		}
+		orWords(union, st.Virgin)
 		for _, in := range st.Corpus {
 			rep.CorpusHashes = append(rep.CorpusHashes, hash64(in))
 			rep.corpus = append(rep.corpus, in)
@@ -547,12 +542,44 @@ func merge(cfg Config, parts []*Partial) *Report {
 		}
 	}
 	rep.CorpusSize = len(rep.CorpusHashes)
-	for _, v := range union {
-		if v != 0 {
-			rep.Edges++
-		}
-	}
+	rep.Edges = nonzeroBytes(union)
 	rep.CoverageHash = hash64(union)
 	rep.virgin = union
 	return rep
+}
+
+// orWords ORs src into dst (len(src) <= len(dst)) eight bytes at a time,
+// with a byte loop for the tail.
+func orWords(dst, src []byte) {
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])|binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(src); i++ {
+		dst[i] |= src[i]
+	}
+}
+
+// nonzeroBytes counts the nonzero bytes of b, skipping all-zero words
+// eight bytes at a time.
+func nonzeroBytes(b []byte) int {
+	n, i := 0, 0
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if w == 0 {
+			continue
+		}
+		// Fold each byte's bits into its low bit, then count the bytes
+		// whose low bit is set.
+		w |= w >> 4
+		w |= w >> 2
+		w |= w >> 1
+		n += bits.OnesCount64(w & 0x0101010101010101)
+	}
+	for ; i < len(b); i++ {
+		if b[i] != 0 {
+			n++
+		}
+	}
+	return n
 }

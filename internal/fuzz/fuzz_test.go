@@ -22,11 +22,10 @@ type fakeTarget struct {
 
 func (f *fakeTarget) Execute(_ context.Context, input []byte) (Exec, *vm.CovMap, error) {
 	f.cov.Reset()
-	raw := f.cov.Bytes()
 	// Edge footprint: a base path plus one bucket per power-of-two length.
-	raw[1] = 1
+	f.cov.Hit(1)
 	for l := len(input); l > 0; l >>= 1 {
-		raw[16+l%251]++
+		f.cov.Hit(uint16(16 + l%251))
 	}
 	ex := Exec{Cycles: uint64(100 + len(input)), Insts: uint64(10 + len(input))}
 	if len(input) > f.bufLen {
@@ -51,7 +50,8 @@ func TestMutatorDeterministic(t *testing.T) {
 		corpus := [][]byte{parent, []byte("PING")}
 		var out [][]byte
 		for i := 0; i < 200; i++ {
-			out = append(out, m.mutate(parent, corpus))
+			// A mutant lives in the mutator's reused buffer: keep a copy.
+			out = append(out, append([]byte(nil), m.mutate(parent, corpus)...))
 		}
 		return out
 	}
@@ -157,7 +157,7 @@ type canaryTarget struct {
 
 func (f *canaryTarget) Execute(_ context.Context, input []byte) (Exec, *vm.CovMap, error) {
 	f.cov.Reset()
-	f.cov.Bytes()[1] = 1
+	f.cov.Hit(1)
 	ex := Exec{Cycles: uint64(100 + len(input)), Insts: uint64(10 + len(input))}
 	for i, b := range input[min(len(input), f.bufLen):] {
 		if i < len(f.canary) && b != f.canary[i] {
@@ -346,5 +346,33 @@ func TestNilProgressMeterIsFree(t *testing.T) {
 		m.shardDone()
 	}); n != 0 {
 		t.Fatalf("nil meter allocated %.0f times per exec", n)
+	}
+}
+
+// TestCorpusHoldsExecutedInputs: the mutator reuses one buffer for every
+// mutant, so the engine must copy an input it admits. Every corpus entry
+// must still read as an input the target executed once the shard is done.
+func TestCorpusHoldsExecutedInputs(t *testing.T) {
+	seen := make(map[string]bool)
+	ft := &fakeTarget{bufLen: 1 << 20}
+	ex := executorFunc(func(ctx context.Context, input []byte) (Exec, *vm.CovMap, error) {
+		seen[string(input)] = true
+		return ft.Execute(ctx, input)
+	})
+	cfg, err := Config{Seeds: [][]byte{[]byte("GET /")}, Execs: 3000, Shards: 1, Seed: 3}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runShard(context.Background(), cfg, 0, ex, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Corpus) < 3 {
+		t.Fatalf("corpus of %d admits too few inputs to check", len(st.Corpus))
+	}
+	for i, in := range st.Corpus {
+		if !seen[string(in)] {
+			t.Fatalf("corpus entry %d (%d bytes) is no executed input: overwritten after admission", i, len(in))
+		}
 	}
 }

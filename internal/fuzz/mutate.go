@@ -19,26 +19,43 @@ var interesting8 = []byte{0, 1, 16, 32, 64, 100, 127, 128, 255}
 
 var interesting16 = []uint16{0, 1, 16, 64, 128, 255, 256, 512, 1000, 1024, 4096, 32767, 65535}
 
-// mutator owns one shard's mutation state.
+// mutator owns one shard's mutation state. It builds every mutant in buf
+// and stages copied blocks in scratch, both reused across mutants, so a
+// steady-state mutation allocates nothing.
 type mutator struct {
 	r    *rng.Source
 	dict [][]byte
 	max  int
+
+	buf, scratch []byte
 }
 
 // mutate derives one mutant from parent: a havoc pass of 1..8 stacked
-// operations, length-capped at max and never empty.
+// operations, length-capped at max and never empty. The mutant aliases the
+// mutator's buffer: it is valid until the next call, so a caller keeping it
+// copies it. parent and corpus must not alias that buffer.
 func (m *mutator) mutate(parent []byte, corpus [][]byte) []byte {
-	out := append(make([]byte, 0, len(parent)+16), parent...)
+	out := append(m.buf[:0], parent...)
 	for n := 1 << m.r.Intn(4); n > 0; n-- {
 		out = m.op(out, corpus)
 	}
+	m.buf = out
 	if len(out) == 0 {
-		out = []byte{0}
+		out = append(out, 0)
 	}
 	if len(out) > m.max {
 		out = out[:m.max]
 	}
+	return out
+}
+
+// insert splices block into out at position at, in place when out has the
+// capacity. block must not alias out.
+func insert(out []byte, at int, block []byte) []byte {
+	n := len(out)
+	out = append(out, block...)
+	copy(out[at+len(block):], out[at:n])
+	copy(out[at:], block)
 	return out
 }
 
@@ -81,32 +98,32 @@ func (m *mutator) op(out []byte, corpus [][]byte) []byte {
 		if len(out) > 0 {
 			n := 1 + m.r.Intn(len(out))
 			pos := m.r.Intn(len(out) - n + 1)
-			block := append([]byte(nil), out[pos:pos+n]...)
-			at := m.r.Intn(len(out) + 1)
-			out = append(out[:at], append(block, out[at:]...)...)
+			m.scratch = append(m.scratch[:0], out[pos:pos+n]...)
+			out = insert(out, m.r.Intn(len(out)+1), m.scratch)
 		}
 	case 7: // insert a block of random bytes (grows the input)
+		var block [16]byte
 		n := 1 << m.r.Intn(5) // 1..16
-		block := make([]byte, n)
-		m.r.Bytes(block)
+		m.r.Bytes(block[:n])
 		at := 0
 		if len(out) > 0 {
 			at = m.r.Intn(len(out) + 1)
 		}
-		out = append(out[:at], append(block, out[at:]...)...)
+		out = insert(out, at, block[:n])
 	case 8: // insert a dictionary token (no dictionary: a random block)
+		var block [16]byte
 		var tok []byte
 		if len(m.dict) > 0 {
 			tok = m.dict[m.r.Intn(len(m.dict))]
 		} else {
-			tok = make([]byte, 1<<m.r.Intn(5))
+			tok = block[:1<<m.r.Intn(5)]
 			m.r.Bytes(tok)
 		}
 		at := 0
 		if len(out) > 0 {
 			at = m.r.Intn(len(out) + 1)
 		}
-		out = append(out[:at], append(append([]byte(nil), tok...), out[at:]...)...)
+		out = insert(out, at, tok)
 	case 9: // splice with another corpus entry (none usable: self-splice)
 		other := out
 		if len(corpus) > 0 {
@@ -115,9 +132,11 @@ func (m *mutator) op(out []byte, corpus [][]byte) []byte {
 			}
 		}
 		if len(out) > 0 && len(other) > 0 {
-			head := out[:m.r.Intn(len(out))]
-			tail := other[m.r.Intn(len(other)):]
-			out = append(append([]byte(nil), head...), tail...)
+			// other may be out itself, whose bytes the append overwrites,
+			// so the tail is staged in scratch first.
+			head := m.r.Intn(len(out))
+			m.scratch = append(m.scratch[:0], other[m.r.Intn(len(other)):]...)
+			out = append(out[:head], m.scratch...)
 		}
 	}
 	return out

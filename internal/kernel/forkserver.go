@@ -96,8 +96,9 @@ func (s *ForkServer) Parent() *Process { return s.parent }
 // and returns it. Fork copies the CPU struct wholesale, so every worker
 // forked afterwards records its executed edges into this one map — the
 // fuzzing loop resets it before each request (Coverage().Reset()) and reads
-// it after, giving a per-request edge snapshot with zero per-fork setup.
-// Idempotent: a map installed earlier is returned as-is.
+// its touched buckets after, giving a per-request edge snapshot with zero
+// per-fork setup and a per-request cost proportional to the edges the
+// request ran. Idempotent: a map installed earlier is returned as-is.
 func (s *ForkServer) EnableCoverage() *vm.CovMap {
 	if cov := s.parent.CPU.Coverage(); cov != nil {
 		return cov

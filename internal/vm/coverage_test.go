@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/rng"
 )
 
 // covProg is a small branchy loop: enough distinct edges to exercise the
@@ -175,5 +176,70 @@ func TestCoverageCounterSaturates(t *testing.T) {
 	}
 	if got := cov.hits[0x40&(CovMapSize-1)]; got != 0xff {
 		t.Fatalf("hot counter = %d, want saturated 255", got)
+	}
+}
+
+// TestCoverageTouchedMatchesDense checks the sparse bookkeeping against a
+// dense model over random edge streams: after each stream the touched list
+// holds exactly the nonzero buckets, each once; every counter equals its
+// hit count saturated at 0xff; and after Reset all 64 KiB read zero,
+// checked bucket by bucket. The streams mix uniform edges with a small hot
+// set, so both sparse first hits and saturated counters occur, and the
+// same map is reused across rounds as a fuzzing shard reuses it.
+func TestCoverageTouchedMatchesDense(t *testing.T) {
+	r := rng.New(18)
+	var cov CovMap
+	saturated := 0
+	for round := 0; round < 40; round++ {
+		var want [CovMapSize]int
+		hot := make([]uint64, 1+r.Intn(32))
+		for i := range hot {
+			hot[i] = r.Uint64()
+		}
+		for n := r.Intn(4096); n > 0; n-- {
+			prev, pc := r.Uint64(), r.Uint64()
+			if r.Intn(2) == 0 {
+				prev, pc = 0, hot[r.Intn(len(hot))]
+			}
+			cov.record(prev, pc)
+			want[(prev^pc)&(CovMapSize-1)]++
+		}
+		seen := make(map[uint16]bool)
+		for _, i := range cov.Touched() {
+			if seen[i] {
+				t.Fatalf("round %d: bucket %d listed twice", round, i)
+			}
+			seen[i] = true
+		}
+		nonzero := 0
+		for i, n := range want {
+			if n > 0 {
+				nonzero++
+				if !seen[uint16(i)] {
+					t.Fatalf("round %d: hit bucket %d missing from Touched", round, i)
+				}
+			}
+			if got, exp := cov.Count(uint16(i)), byte(min(n, 0xff)); got != exp {
+				t.Fatalf("round %d: bucket %d count %d, want %d", round, i, got, exp)
+			}
+			if n > 0xff {
+				saturated++
+			}
+		}
+		if len(seen) != nonzero || cov.Edges() != nonzero {
+			t.Fatalf("round %d: touched %d, edges %d, nonzero buckets %d", round, len(seen), cov.Edges(), nonzero)
+		}
+		cov.Reset()
+		for i := range CovMapSize {
+			if cov.Count(uint16(i)) != 0 {
+				t.Fatalf("round %d: bucket %d nonzero after Reset", round, i)
+			}
+		}
+		if cov.Edges() != 0 || len(cov.Touched()) != 0 {
+			t.Fatalf("round %d: Reset left %d touched buckets", round, len(cov.Touched()))
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no stream saturated a counter")
 	}
 }
